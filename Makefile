@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke fmt vet fmt-check ci
+.PHONY: all build test perfbench-test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke fmt vet fmt-check ci
 
 all: build
 
@@ -14,14 +14,21 @@ build:
 test:
 	$(GO) test ./...
 
+# The repository benchmark (perfbench/) is its own module, so the root
+# `go test ./...` skips it; this target builds it against the current
+# tree and runs its tests, so an API break to the harness fails CI.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # The concurrency suite: the sharded buffer cache, concurrent trace
 # replay, the page-table fuzz corpus, and the web server all run under
 # the race detector. The explicit -run Fuzz pass replays the checked-in
-# fuzz seed corpora (trace decode, dump parse, page table) as regular
-# race-instrumented tests.
+# fuzz seed corpora (trace decode, dump parse, page table, the fault,
+# shed, inject, retry and op-mask grammars, and the JSON options
+# loader) as regular race-instrumented tests.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -run 'Fuzz' ./internal/trace/ ./internal/buffercache/ ./internal/simdisk/
+	$(GO) test -race -run 'Fuzz' ./internal/trace/ ./internal/buffercache/ ./internal/simdisk/ ./internal/netsim/ ./internal/webserver/ ./internal/fsim/ ./internal/core/
 
 # Benchmark smoke: every benchmark runs exactly once so regressions in
 # the harness itself (not perf) surface in CI quickly.
@@ -128,4 +135,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build vet fmt-check test race bench bench-cold bench-contention bench-trace bench-faults bench-avail stdfs-smoke distfault-smoke
+ci: build vet fmt-check test perfbench-test race bench bench-cold bench-contention bench-trace bench-faults bench-avail stdfs-smoke distfault-smoke

@@ -27,23 +27,25 @@ func main() {
 	)
 	flag.Parse()
 
+	opts := core.DefaultOptions()
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		opts, err := core.LoadOptions(f)
+		opts, err = core.LoadOptions(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		core.SetOptions(opts)
+	}
+	reg, err := core.NewRegistry(opts)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *list {
-		for _, e := range core.Experiments() {
+		for _, e := range reg {
 			fmt.Printf("%-12s %-7s %s\n", e.ID, e.Kind, e.Title)
 		}
 		return
@@ -58,15 +60,18 @@ func main() {
 	}
 	core.SortIDs(ids)
 	if *outDir != "" {
-		if err := core.RunToDir(*outDir, ids); err != nil {
-			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
-			os.Exit(1)
+		if err := reg.RunToDir(*outDir, ids); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("artifacts written to %s\n", *outDir)
 		return
 	}
-	if err := core.Run(os.Stdout, ids, *format); err != nil {
-		fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
-		os.Exit(1)
+	if err := reg.Run(os.Stdout, ids, *format); err != nil {
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
+	os.Exit(1)
 }

@@ -21,81 +21,33 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/distbench"
-	"repro/internal/fsim"
 	"repro/internal/netsim"
-	"repro/internal/simdisk"
 )
 
 func main() {
 	var (
-		nodes     = flag.String("nodes", "", `client-node counts to sweep, e.g. "1,2,4,8" (empty = the default sweep)`)
-		servers   = flag.Int("servers", 1, "replicated server nodes")
-		requests  = flag.Int("requests", 64, "requests per client node")
-		workers   = flag.Int("workers", 4, "worker threads per server")
-		wan       = flag.Bool("wan", false, "use the WAN interconnect instead of the LAN")
-		deadline  = flag.Duration("deadline", 0, "client RPC deadline; 0 keeps the fault-free fast path")
-		retry     = flag.String("retry", "", `failover retry policy, e.g. "max=3,base=200us"`)
-		netFaults = flag.String("net-faults", "", `fabric fault plan, e.g. "kill:server0@20ms,drop:link1@10ms+5ms"`)
-		disks     = flag.Int("disks", 0, "simulated disks in each server's array (0 = config default)")
-		raid      = flag.String("raid", "", "array redundancy: raid0 | raid1 | raid5 (empty = config default)")
-		faults    = flag.String("faults", "", `per-server device fault plan, e.g. "fail:1@0s"`)
-		spares    = flag.Int("spares", 0, "hot-spare pool size per server (0 = none)")
-		rebuild   = flag.String("rebuild", "", `members every server rebuilds while serving, e.g. "1,2"`)
-		curve     = flag.Bool("curve", true, "print the availability curve of the largest fault-aware run")
+		nodes    = flag.String("nodes", "", `client-node counts to sweep, e.g. "1,2,4,8" (empty = the default sweep)`)
+		servers  = flag.Int("servers", 1, "replicated server nodes")
+		requests = flag.Int("requests", 64, "requests per client node")
+		workers  = flag.Int("workers", 4, "worker threads per server")
+		wan      = flag.Bool("wan", false, "use the WAN interconnect instead of the LAN")
+		curve    = flag.Bool("curve", true, "print the availability curve of the largest fault-aware run")
 	)
+	storeFlags := core.BindFlags(flag.CommandLine, "deadline", "retry", "net-faults", "disks", "raid", "faults", "spares", "rebuild")
 	flag.Parse()
 
-	cfg := distbench.DefaultConfig()
+	opts := core.DefaultOptions()
+	if err := storeFlags.Apply(&opts); err != nil {
+		fatal(err)
+	}
+	cfg := opts.DistConfig()
 	cfg.Servers = *servers
 	cfg.RequestsPerNode = *requests
 	cfg.ServerWorkers = *workers
 	if *wan {
 		cfg.Net = netsim.WANParams()
-	}
-	cfg.Deadline = *deadline
-	if *retry != "" {
-		pol, err := fsim.ParseRetrySpec(*retry)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Retry = pol
-	}
-	if *netFaults != "" {
-		plan, err := netsim.ParseFaultPlan(*netFaults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.NetFaults = plan
-	}
-	if *disks > 0 {
-		cfg.Store.Disks = *disks
-	}
-	if *raid != "" {
-		level, err := simdisk.ParseLevel(*raid)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store.RAIDLevel = level
-	}
-	if *faults != "" {
-		plan, err := simdisk.ParseFaultPlan(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store.Faults = plan
-	}
-	if *spares > 0 {
-		cfg.Store.Spares = *spares
-	}
-	if *rebuild != "" {
-		for _, part := range strings.Split(*rebuild, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 0 {
-				fatal(fmt.Errorf("-rebuild: bad member %q", part))
-			}
-			cfg.RebuildMembers = append(cfg.RebuildMembers, n)
-		}
 	}
 
 	sweep := distbench.NodeSweep

@@ -20,15 +20,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/buffercache"
+	"repro/internal/core"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
-	"repro/internal/simdisk"
 	"repro/internal/vm"
 	"repro/internal/webserver"
 	"repro/internal/workload"
@@ -36,113 +34,77 @@ import (
 
 func main() {
 	var (
-		mode      = flag.String("mode", "tables", "tables | serve | servefs | load | degraded")
-		addr      = flag.String("addr", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "listen address for serve mode")
-		target    = flag.String("target", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "server address for load mode")
-		clients   = flag.Int("clients", 4, "concurrent clients in load mode")
-		requests  = flag.Int("requests", 50, "requests per client in load mode")
-		posts     = flag.Bool("posts", false, "mix POSTs into the load")
-		shards    = flag.Int("shards", 1, "page-cache lock stripes for serve mode (power of two); 0 = derive from GOMAXPROCS")
-		lanes     = flag.Bool("lanes", false, "serve mode: give every connection its own virtual-time session")
-		writeback = flag.Int("writeback", 0, "serve mode: background write-back threshold in dirty pages per stripe (0 = off)")
-		wbHigh    = flag.Int("writeback-highwater", 0, "serve mode: dirty-page high-water mark per stripe that stalls writers (0 = never; needs -writeback)")
-		sched     = flag.String("sched", "fcfs", "serve mode: disk scheduling policy (write-back, shared queue): fcfs | sstf | scan")
-		diskQueue = flag.String("disk-queue", "private", "serve mode: disk-queue mode: private | shared (contended queue across connection lanes; needs -lanes)")
-		disks     = flag.Int("disks", 0, "serve mode: simulated disks in the array (0 = config default)")
-		raid      = flag.String("raid", "", "serve mode: array redundancy: raid0 | raid1 | raid5 (empty = config default)")
-		faults    = flag.String("faults", "", `serve mode: device fault plan, e.g. "fail:1@0s,slow:0@1ms+200us"`)
-		retry     = flag.String("retry", "", `serve mode: session recovery policy, e.g. "max=3,base=50us" (needs -lanes to matter)`)
-		shed      = flag.String("shed", "", `serve mode: load-shedding policy, e.g. "max=8,deadline=2ms"`)
-		spares    = flag.Int("spares", 0, "degraded mode: hot-spare pool size (0 = scenario default)")
-		rebuild   = flag.String("rebuild", "", `degraded mode: members to rebuild, e.g. "1,2" (empty = scenario default)`)
+		mode     = flag.String("mode", "tables", "tables | serve | servefs | load | degraded")
+		addr     = flag.String("addr", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "listen address for serve mode")
+		target   = flag.String("target", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "server address for load mode")
+		clients  = flag.Int("clients", 4, "concurrent clients in load mode")
+		requests = flag.Int("requests", 50, "requests per client in load mode")
+		posts    = flag.Bool("posts", false, "mix POSTs into the load")
+		lanes    = flag.Bool("lanes", false, "serve mode: give every connection its own virtual-time session")
 	)
+	storeFlags := core.BindFlags(flag.CommandLine, "shards", "writeback", "writeback-highwater", "sched", "disk-queue",
+		"disks", "raid", "faults", "retry", "shed", "spares", "rebuild")
 	flag.Parse()
+
+	if *mode == "degraded" {
+		// Store flags left at their zero values take the scenario's: a
+		// 3-way RAID1 mirror that lost two members at t0, a 2-spare pool
+		// rebuilding both, and an 8-in-flight / 2 ms-deadline shed policy.
+		for name, v := range map[string]string{"disks": "3", "raid": "raid1", "faults": "fail:1@0s,fail:2@0s",
+			"spares": "2", "rebuild": "1,2", "shed": "max=8,deadline=2ms"} {
+			if f := flag.Lookup(name); f.Value.String() == f.DefValue {
+				if err := f.Value.Set(v); err != nil {
+					fatal(err)
+				}
+			}
+		}
+	}
+	opts := core.DefaultOptions()
+	if err := storeFlags.Apply(&opts); err != nil {
+		fatal(err)
+	}
 
 	switch *mode {
 	case "tables":
-		runTables()
+		runTables(opts)
 	case "serve":
-		runServe(*addr, *shards, *lanes, *writeback, *wbHigh, *sched, *diskQueue, *disks, *raid, *faults, *retry, *shed)
+		runServe(*addr, *lanes, opts)
 	case "servefs":
-		runServeFS(*addr, *shards)
+		runServeFS(*addr, opts)
 	case "load":
 		runLoad(*target, *clients, *requests, *posts)
 	case "degraded":
-		runDegraded(*addr, *clients, *requests, *disks, *raid, *faults, *shed, *rebuild, *spares)
+		runDegraded(*addr, *clients, *requests, opts)
 	default:
 		fmt.Fprintf(os.Stderr, "webbench: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
 }
 
-func runTables() {
-	t5, _, err := webserver.Table5()
+func runTables(opts core.Options) {
+	store := opts.StoreConfig(fsim.DefaultConfig())
+	t5, _, err := webserver.Table5(store, opts.Shed)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(t5.Render())
-	t6, _, err := webserver.Table6()
+	t6, _, err := webserver.Table6(store, opts.Shed)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(t6.Render())
-	fig, _, err := webserver.Figure6()
+	fig, _, err := webserver.Figure6(store, opts.Shed)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(fig.RenderLines(44, 10))
 }
 
-func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched, diskQueue string, disks int, raid, faults, retry, shed string) {
-	cfg := fsim.DefaultConfig()
-	if shards == 0 {
-		shards = buffercache.AutoShards()
-	}
-	cfg.Cache.Shards = shards
-	policy, err := simdisk.ParsePolicy(sched)
-	if err != nil {
-		fatal(err)
-	}
-	queueMode, err := fsim.ParseDiskQueue(diskQueue)
-	if err != nil {
-		fatal(err)
-	}
-	if queueMode == fsim.DiskQueueShared && !lanes {
+func runServe(addr string, lanes bool, opts core.Options) {
+	if opts.DiskQueue == fsim.DiskQueueShared && !lanes {
 		fatal(fmt.Errorf("-disk-queue shared needs -lanes: the queue contends connection sessions"))
 	}
-	cfg.Cache.WritebackThreshold = writeback
-	cfg.Cache.WritebackHighwater = wbHigh
-	cfg.Cache.WritebackPolicy = policy
-	cfg.DiskQueue = queueMode
-	if disks > 0 {
-		cfg.Disks = disks
-	}
-	if raid != "" {
-		level, err := simdisk.ParseLevel(raid)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.RAIDLevel = level
-	}
-	if faults != "" {
-		plan, err := simdisk.ParseFaultPlan(faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-	}
-	if retry != "" {
-		pol, err := fsim.ParseRetrySpec(retry)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Retry = pol
-	}
-	shedPolicy, err := webserver.ParseShedPolicy(shed)
-	if err != nil {
-		fatal(err)
-	}
-	store, err := fsim.NewFileStore(cfg)
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		fatal(err)
 	}
@@ -155,7 +117,7 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 		fatal(err)
 	}
 	rt.RegisterBCL()
-	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: lanes, Shed: shedPolicy})
+	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: lanes, Shed: opts.Shed})
 	if err != nil {
 		fatal(err)
 	}
@@ -166,8 +128,8 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 	mode := "shared clock"
 	if lanes {
 		mode = "per-connection lanes"
-		if queueMode == fsim.DiskQueueShared {
-			mode = fmt.Sprintf("per-connection lanes, shared %s disk queue", policy)
+		if opts.DiskQueue == fsim.DiskQueueShared {
+			mode = fmt.Sprintf("per-connection lanes, shared %s disk queue", opts.SchedPolicy)
 		}
 	}
 	fmt.Printf("serving benchmark corpus on %s with %d cache stripes, %s (ctrl-c to stop)\n",
@@ -187,13 +149,8 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 // browser, hey) becomes a workload generator against the simulator.
 // Each request runs on its own session lane; records carry the
 // simulated per-request I/O time, like the native server's.
-func runServeFS(addr string, shards int) {
-	cfg := fsim.DefaultConfig()
-	if shards == 0 {
-		shards = buffercache.AutoShards()
-	}
-	cfg.Cache.Shards = shards
-	store, err := fsim.NewFileStore(cfg)
+func runServeFS(addr string, opts core.Options) {
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		fatal(err)
 	}
@@ -281,56 +238,9 @@ func runLoad(target string, clients, requests int, posts bool) {
 // load under overload while the store's RAID array rebuilds dead
 // members onto hot spares. One report at the end joins the web-side
 // tallies (served / shed / deadlined) with the rebuild's per-member
-// outcome and the array's degraded-mode counters. Flags left at their
-// zero values take the scenario defaults: a 3-way RAID1 mirror that
-// lost two members at t0, a 2-spare pool rebuilding both, and an
-// 8-in-flight / 2 ms-deadline shed policy.
-func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, rebuild string, spares int) {
-	if disks == 0 {
-		disks = 3
-	}
-	if raid == "" {
-		raid = "raid1"
-	}
-	if faults == "" {
-		faults = "fail:1@0s,fail:2@0s"
-	}
-	if spares == 0 {
-		spares = 2
-	}
-	if rebuild == "" {
-		rebuild = "1,2"
-	}
-	if shed == "" {
-		shed = "max=8,deadline=2ms"
-	}
-	level, err := simdisk.ParseLevel(raid)
-	if err != nil {
-		fatal(err)
-	}
-	plan, err := simdisk.ParseFaultPlan(faults)
-	if err != nil {
-		fatal(err)
-	}
-	shedPolicy, err := webserver.ParseShedPolicy(shed)
-	if err != nil {
-		fatal(err)
-	}
-	var members []int
-	for _, part := range strings.Split(rebuild, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			fatal(fmt.Errorf("-rebuild: bad member %q", part))
-		}
-		members = append(members, n)
-	}
-
-	cfg := fsim.DefaultConfig()
-	cfg.Disks = disks
-	cfg.RAIDLevel = level
-	cfg.Faults = plan
-	cfg.Spares = spares
-	store, err := fsim.NewFileStore(cfg)
+// outcome and the array's degraded-mode counters.
+func runDegraded(addr string, clients, requests int, opts core.Options) {
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		fatal(err)
 	}
@@ -343,7 +253,7 @@ func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, 
 		fatal(err)
 	}
 	rt.RegisterBCL()
-	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: true, Shed: shedPolicy})
+	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: true, Shed: opts.Shed})
 	if err != nil {
 		fatal(err)
 	}
@@ -352,7 +262,7 @@ func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, 
 		fatal(err)
 	}
 
-	rb, err := store.BeginRebuilds(members)
+	rb, err := store.BeginRebuilds(opts.Rebuild)
 	if err != nil {
 		fatal(err)
 	}
@@ -363,7 +273,7 @@ func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, 
 	}()
 
 	fmt.Printf("degraded scenario on %s: %d clients x %d requests against a %s array (faults %q), rebuilding members %v from a %d-spare pool, shed policy %s\n",
-		bound, clients, requests, raid, faults, members, spares, shedPolicy)
+		bound, clients, requests, strings.ToLower(opts.RAID.String()), opts.Faults, opts.Rebuild, opts.Spares, opts.Shed)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var lat metrics.Sample

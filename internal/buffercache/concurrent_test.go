@@ -38,22 +38,25 @@ func TestAutoShardsIsStripedPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestSetDefaultShards(t *testing.T) {
-	if err := SetDefaultShards(3); err == nil {
-		t.Fatal("SetDefaultShards(3) accepted")
-	}
-	if err := SetDefaultShards(8); err != nil {
-		t.Fatal(err)
-	}
-	defer SetDefaultShards(0)
-	if got := DefaultConfig().Shards; got != 8 {
-		t.Fatalf("DefaultConfig().Shards = %d after SetDefaultShards(8)", got)
-	}
-	if err := SetDefaultShards(0); err != nil {
-		t.Fatal(err)
-	}
+// TestConfigValidateShards: the stripe count must be a power of two,
+// and the default configuration is the paper's single stripe.
+func TestConfigValidateShards(t *testing.T) {
 	if got := DefaultConfig().Shards; got != 1 {
-		t.Fatalf("DefaultConfig().Shards = %d after reset, want 1", got)
+		t.Fatalf("DefaultConfig().Shards = %d, want 1", got)
+	}
+	for _, n := range []int{3, 6, -2} {
+		cfg := DefaultConfig()
+		cfg.Shards = n
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Shards = %d validated", n)
+		}
+	}
+	for _, n := range []int{0, 1, 8, 256} {
+		cfg := DefaultConfig()
+		cfg.Shards = n
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Shards = %d rejected: %v", n, err)
+		}
 	}
 }
 

@@ -220,17 +220,20 @@ func TestWritebackHighwaterValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative high-water mark validated")
 	}
-	if err := SetDefaultWriteback(0, 0, 4, simdisk.FCFS); err == nil {
-		t.Fatal("SetDefaultWriteback accepted a high-water mark without write-back")
+	cfg = DefaultConfig()
+	cfg.WritebackThreshold = -1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative write-back threshold validated")
 	}
-	if err := SetDefaultWriteback(8, 0, 4, simdisk.SSTF); err != nil {
-		t.Fatalf("SetDefaultWriteback rejected a valid high-water config: %v", err)
+	cfg = DefaultConfig()
+	cfg.WritebackBatch = -1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative write-back batch validated")
 	}
-	if got := DefaultConfig().WritebackHighwater; got != 4 {
-		t.Fatalf("DefaultConfig high-water = %d, want 4", got)
-	}
-	if err := SetDefaultWriteback(0, 0, 0, simdisk.FCFS); err != nil {
-		t.Fatalf("restoring defaults failed: %v", err)
+	cfg = DefaultConfig()
+	cfg.WritebackPolicy = simdisk.SchedPolicy(9)
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("invalid write-back policy validated")
 	}
 }
 

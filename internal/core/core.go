@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/distbench"
+	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/tracesim"
 	"repro/internal/vmcompare"
@@ -75,20 +76,29 @@ type Experiment struct {
 	Run   func() (Result, error)
 }
 
-// Experiments returns the full registry in paper order, configured with
-// the process-wide options (the reproduction defaults unless SetOptions
-// was called).
-func Experiments() []Experiment { return ExperimentsWith(current) }
+// Registry is the experiment set, in paper order, configured by one
+// validated Options value.
+type Registry []Experiment
 
-// ExperimentsWith returns the registry configured by opts; zero fields
-// take the defaults.
-func ExperimentsWith(opts Options) []Experiment {
-	opts = opts.fillDefaults()
+// NewRegistry validates opts and builds the registry they configure;
+// zero fields take the defaults. Registries share no state, so ones
+// built from different options can run side by side.
+func NewRegistry(opts Options) (Registry, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	return experiments(opts.fillDefaults()), nil
+}
+
+// experiments builds the registry for opts, which must be valid and
+// filled.
+func experiments(opts Options) Registry {
 	machine := opts.Machine
 	base := opts.Base
 	traceParams := opts.TraceParams
+	store := opts.StoreConfig(fsim.DefaultConfig())
 
-	return []Experiment{
+	return Registry{
 		{
 			ID:    "fig1",
 			Title: "Figure 1: example program behaviour (working sets and phases)",
@@ -197,19 +207,19 @@ func ExperimentsWith(opts Options) []Experiment {
 			},
 		},
 		tableExperiment("table1", "Table 1: data mining (Dmine) operation times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table1(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table1(traceParams, store); return t, err }),
 		tableExperiment("table2", "Table 2: Titan operation times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table2(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table2(traceParams, store); return t, err }),
 		tableExperiment("table3", "Table 3: LU per-request seek times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table3(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table3(traceParams, store); return t, err }),
 		tableExperiment("table4", "Table 4: Cholesky per-request seek/read times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table4(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table4(traceParams, store); return t, err }),
 		{
 			ID:    "table5",
 			Title: "Table 5: web server first read/write response times",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				tb, _, err := webserver.Table5()
+				tb, _, err := webserver.Table5(store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -221,7 +231,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Table 6: repeated reads of the same file",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				tb, times, err := webserver.Table6()
+				tb, times, err := webserver.Table6(store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -234,7 +244,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Figure 6: read response time vs trial number",
 			Kind:  KindFigure,
 			Run: func() (Result, error) {
-				fig, times, err := webserver.Figure6()
+				fig, times, err := webserver.Figure6(store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -246,7 +256,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Extension (§5 future work): Table 6 workload across virtual machines",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				results, err := vmcompare.Compare(nil)
+				results, err := vmcompare.Compare(nil, store)
 				if err != nil {
 					return Result{}, err
 				}
@@ -335,16 +345,11 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Extension (§5 future work): distributed load scaling",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				cfg := distbench.DefaultConfig()
 				// The fault-tolerance options ride into the distributed
 				// sweep: with a deadline the clients route by consistent
 				// hash and fail over; with a net-fault plan the fabric
 				// loses nodes mid-run.
-				cfg.Deadline = current.RPCDeadline
-				if cfg.Deadline > 0 {
-					cfg.Retry = current.Retry
-					cfg.NetFaults = current.NetFaults
-				}
+				cfg := opts.DistConfig()
 				results, err := distbench.Sweep(cfg, distbench.NodeSweep)
 				if err != nil {
 					return Result{}, err
@@ -387,7 +392,7 @@ func tableExperiment(id, title string, run func() (*metrics.Table, error)) Exper
 
 // IDs returns every registered experiment id, in paper order.
 func IDs() []string {
-	exps := Experiments()
+	exps := experiments(DefaultOptions())
 	out := make([]string, len(exps))
 	for i, e := range exps {
 		out[i] = e.ID
@@ -396,8 +401,8 @@ func IDs() []string {
 }
 
 // ByID finds an experiment.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
+func (r Registry) ByID(id string) (Experiment, bool) {
+	for _, e := range r {
 		if e.ID == id {
 			return e, true
 		}
@@ -405,33 +410,41 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// selectIDs resolves ids ("all" or empty = every experiment) to
+// experiments, dropping repeats.
+func (r Registry) selectIDs(ids []string) ([]Experiment, error) {
+	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
+		return r, nil
+	}
+	var selected []Experiment
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		e, ok := r.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("core: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+		}
+		selected = append(selected, e)
+	}
+	return selected, nil
+}
+
 // Run executes the named experiments ("all" or empty = every one) and
 // writes their rendered artifacts to w. CSV output is selected by
 // format == "csv".
-func Run(w io.Writer, ids []string, format string) error {
-	var selected []Experiment
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		selected = Experiments()
-	} else {
-		seen := map[string]bool{}
-		for _, id := range ids {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			e, ok := ByID(id)
-			if !ok {
-				return fmt.Errorf("core: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-			}
-			selected = append(selected, e)
-		}
+func (r Registry) Run(w io.Writer, ids []string, format string) error {
+	selected, err := r.selectIDs(ids)
+	if err != nil {
+		return err
 	}
 	for _, e := range selected {
 		res, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("core: running %s: %w", e.ID, err)
 		}
-		res.ID, res.Title, res.Kind = e.ID, e.Title, e.Kind
 		fmt.Fprintf(w, "=== %s — %s ===\n", e.ID, e.Title)
 		if format == "csv" && res.CSV != "" {
 			fmt.Fprint(w, res.CSV)
@@ -449,21 +462,13 @@ func Run(w io.Writer, ids []string, format string) error {
 // RunToDir executes the named experiments and writes each artifact to
 // dir as <id>.txt (and <id>.csv when the experiment has a CSV form),
 // creating dir if needed.
-func RunToDir(dir string, ids []string) error {
+func (r Registry) RunToDir(dir string, ids []string) error {
+	selected, err := r.selectIDs(ids)
+	if err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: creating %s: %w", dir, err)
-	}
-	var selected []Experiment
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		selected = Experiments()
-	} else {
-		for _, id := range ids {
-			e, ok := ByID(id)
-			if !ok {
-				return fmt.Errorf("core: unknown experiment %q", id)
-			}
-			selected = append(selected, e)
-		}
 	}
 	for _, e := range selected {
 		res, err := e.Run()

@@ -8,7 +8,19 @@ import (
 	"testing"
 )
 
+// mustRegistry builds the registry opts configure, failing the test on
+// invalid options.
+func mustRegistry(t *testing.T, opts Options) Registry {
+	t.Helper()
+	reg, err := NewRegistry(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "errorcheck",
 		"table1", "table2", "table3", "table4", "table5", "table6", "fig6",
@@ -26,16 +38,19 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	e, ok := ByID("fig4")
+	t.Parallel()
+	reg := mustRegistry(t, DefaultOptions())
+	e, ok := reg.ByID("fig4")
 	if !ok || e.ID != "fig4" || e.Kind != KindFigure {
 		t.Fatalf("ByID(fig4) = %+v, %v", e, ok)
 	}
-	if _, ok := ByID("nope"); ok {
+	if _, ok := reg.ByID("nope"); ok {
 		t.Fatal("unknown id found")
 	}
 }
 
 func TestKindString(t *testing.T) {
+	t.Parallel()
 	if KindTable.String() != "table" || KindFigure.String() != "figure" || KindCheck.String() != "check" {
 		t.Fatal("kind names wrong")
 	}
@@ -45,8 +60,9 @@ func TestKindString(t *testing.T) {
 }
 
 func TestRunSingleExperiment(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"errorcheck"}, "text"); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).Run(&buf, []string{"errorcheck"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -56,14 +72,16 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := Run(&bytes.Buffer{}, []string{"bogus"}, "text"); err == nil {
+	t.Parallel()
+	if err := mustRegistry(t, DefaultOptions()).Run(&bytes.Buffer{}, []string{"bogus"}, "text"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunDeduplicates(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"errorcheck", "errorcheck"}, "text"); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).Run(&buf, []string{"errorcheck", "errorcheck"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "=== errorcheck"); n != 1 {
@@ -72,8 +90,9 @@ func TestRunDeduplicates(t *testing.T) {
 }
 
 func TestRunCSVFormat(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"fig3"}, "csv"); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).Run(&buf, []string{"fig3"}, "csv"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "component,CPU,IO") {
@@ -82,6 +101,7 @@ func TestRunCSVFormat(t *testing.T) {
 }
 
 func TestSortIDs(t *testing.T) {
+	t.Parallel()
 	ids := []string{"table6", "fig2", "zzz", "table1", "aaa"}
 	SortIDs(ids)
 	want := []string{"fig2", "table1", "table6", "aaa", "zzz"}
@@ -95,8 +115,9 @@ func TestSortIDs(t *testing.T) {
 // TestRunWebExperiments exercises the experiments that stand up real TCP
 // servers; the appmodel full-scale runs are covered by TestRunAll below.
 func TestRunWebExperiments(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"table5", "table6"}, "text"); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).Run(&buf, []string{"table5", "table6"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -111,8 +132,9 @@ func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run in -short mode")
 	}
+	t.Parallel()
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"all"}, "text"); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).Run(&buf, []string{"all"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -124,8 +146,9 @@ func TestRunAll(t *testing.T) {
 }
 
 func TestRunToDir(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	if err := RunToDir(dir, []string{"errorcheck", "fig1"}); err != nil {
+	if err := mustRegistry(t, DefaultOptions()).RunToDir(dir, []string{"errorcheck", "fig1"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"errorcheck.txt", "fig1.txt"} {
@@ -143,7 +166,8 @@ func TestRunToDir(t *testing.T) {
 }
 
 func TestRunToDirUnknownExperiment(t *testing.T) {
-	if err := RunToDir(t.TempDir(), []string{"bogus"}); err == nil {
+	t.Parallel()
+	if err := mustRegistry(t, DefaultOptions()).RunToDir(t.TempDir(), []string{"bogus"}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/appmodel"
-	"repro/internal/buffercache"
+	"repro/internal/distbench"
 	"repro/internal/fsim"
 	"repro/internal/netsim"
 	"repro/internal/simdisk"
@@ -15,8 +17,11 @@ import (
 	"repro/internal/webserver"
 )
 
-// Options parameterizes the experiment registry. Zero fields take the
-// reproduction defaults, so Options{} == the paper's configuration.
+// Options is one run's whole configuration: the experiment registry's
+// and, through BindFlags, the command-line tools'. Zero fields take the
+// reproduction defaults, so Options{} == the paper's configuration. The
+// options table (table.go) spells every field as a JSON key, a flag, or
+// both.
 type Options struct {
 	// Machine is benchmark 1's baseline machine.
 	Machine appmodel.Machine
@@ -48,6 +53,12 @@ type Options struct {
 	// DiskQueue selects private per-session disk-timing views (the
 	// default) or one shared contended queue across all sessions.
 	DiskQueue fsim.DiskQueueMode
+	// StoreDisks is the simulated store's striped disk count (the -disks
+	// flag; the "disks" config key is Machine.NumDisks). Zero keeps the
+	// store's default single disk.
+	StoreDisks int
+	// RAID is the store array's redundancy level.
+	RAID simdisk.Level
 	// Faults is the per-disk device fault plan (slowdowns, latent sector
 	// errors, whole-device failures on simulated time) every simulated
 	// store in the registry is built with. Nil keeps a healthy array.
@@ -65,6 +76,10 @@ type Options struct {
 	// Spares provisions a hot-spare pool on every simulated store, for
 	// member rebuilds after device faults. Zero keeps ad-hoc spares.
 	Spares int
+	// Rebuild lists store members to rebuild onto spares while the
+	// workload runs; in the registry, the distributed benchmark's
+	// servers rebuild them.
+	Rebuild []int
 	// RPCDeadline is the distributed benchmark's client RPC deadline;
 	// zero keeps the fault-free fast path.
 	RPCDeadline time.Duration
@@ -82,69 +97,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// current is the process-wide configuration Experiments() uses; tools
-// override it once at startup via SetOptions.
-var current = DefaultOptions()
-
-// SetOptions replaces the registry's process-wide configuration. Zero
-// fields take the defaults. Call before Experiments()/Run; not safe to
-// race with running experiments.
-func SetOptions(opts Options) {
-	current = opts.fillDefaults()
-	// The stores the experiments build pick the stripe count up from the
-	// buffercache default. LoadOptions validates CacheShards; a caller
-	// setting an invalid count directly falls back to the single stripe,
-	// and the registry's recorded options are corrected to match so the
-	// configuration never claims stripes the stores don't have.
-	if err := buffercache.SetDefaultShards(current.CacheShards); err != nil {
-		current.CacheShards = 0
-		buffercache.SetDefaultShards(0)
-	}
-	if err := buffercache.SetDefaultWriteback(current.Writeback, current.WritebackBatch, current.WritebackHighwater, current.SchedPolicy); err != nil {
-		current.Writeback = 0
-		current.WritebackBatch = 0
-		current.WritebackHighwater = 0
-		current.SchedPolicy = simdisk.FCFS
-		buffercache.SetDefaultWriteback(0, 0, 0, simdisk.FCFS)
-	}
-	if err := fsim.SetDefaultDiskQueue(current.DiskQueue); err != nil {
-		current.DiskQueue = fsim.DiskQueuePrivate
-		fsim.SetDefaultDiskQueue(fsim.DiskQueuePrivate)
-	}
-	// The fault plan's geometry (disk indices, RAID level) is validated
-	// against each store when it is built; only the spec-level invariants
-	// are checked here, with the invalid value dropped like the above.
-	fsim.SetDefaultFaults(current.Faults)
-	if err := current.Inject.Validate(); err != nil {
-		current.Inject = fsim.InjectSpec{}
-	}
-	fsim.SetDefaultInject(current.Inject)
-	if err := current.Retry.Validate(); err != nil {
-		current.Retry = fsim.RetryPolicy{}
-	}
-	fsim.SetDefaultRetry(current.Retry)
-	if err := current.Shed.Validate(); err != nil {
-		current.Shed = webserver.ShedPolicy{}
-	}
-	webserver.SetDefaultShed(current.Shed)
-	if current.Spares < 0 {
-		current.Spares = 0
-	}
-	fsim.SetDefaultSpares(current.Spares)
-	if current.RPCDeadline < 0 {
-		current.RPCDeadline = 0
-	}
-	// A fault plan nobody can detect is dropped, matching the invalid
-	// values above: the distributed benchmark rejects the combination.
-	if current.NetFaults != nil && current.RPCDeadline <= 0 {
-		current.NetFaults = nil
-	}
-}
-
-// Current returns the registry's active configuration (after
-// SetOptions' invalid-value corrections).
-func Current() Options { return current }
-
 // fillDefaults replaces zero fields with defaults.
 func (o Options) fillDefaults() Options {
 	def := DefaultOptions()
@@ -160,170 +112,105 @@ func (o Options) fillDefaults() Options {
 	return o
 }
 
-// configJSON is the on-disk form read by LoadOptions — flat, in
-// human-friendly units, with every field optional.
-type configJSON struct {
-	CPUs               *int     `json:"cpus"`
-	Disks              *int     `json:"disks"`
-	CPUParFrac         *float64 `json:"cpu_parallel_fraction"`
-	IOQueueDepth       *int     `json:"io_queue_depth"`
-	BaseSeconds        *float64 `json:"base_seconds"`
-	TraceFileSizeMB    *int64   `json:"trace_file_size_mb"`
-	TraceRequests      *int     `json:"trace_requests"`
-	CacheShards        *int     `json:"cache_shards"`
-	Writeback          *int     `json:"writeback"`
-	WritebackBatch     *int     `json:"writeback_batch"`
-	WritebackHighwater *int     `json:"writeback_highwater"`
-	SchedPolicy        *string  `json:"sched_policy"`
-	DiskQueue          *string  `json:"disk_queue"`
-	Faults             *string  `json:"faults"`
-	Inject             *string  `json:"inject"`
-	Retry              *string  `json:"retry"`
-	Shed               *string  `json:"shed"`
-	Spares             *int     `json:"spares"`
-	RPCDeadline        *string  `json:"rpc_deadline"`
-	NetFaults          *string  `json:"net_faults"`
+// Validate reports the first invalid value, named by its config key
+// (or its flag, for flag-only options), or nil. Zero fields take the
+// defaults first.
+func (o Options) Validate() error { return o.validate(false) }
+
+func (o Options) validate(byFlag bool) error {
+	o = o.fillDefaults()
+	for i := range options {
+		opt := &options[i]
+		if opt.check == nil {
+			continue
+		}
+		if err := opt.check(o); err != nil {
+			if byFlag {
+				return fmt.Errorf("%s: %w", opt.name(true), err)
+			}
+			return fmt.Errorf("core: %s: %w", opt.name(false), err)
+		}
+	}
+	// The fields no option spells (stripe unit, sample file, ...).
+	if err := o.Machine.Validate(); err != nil {
+		return err
+	}
+	return o.TraceParams.Validate()
 }
 
-// LoadOptions reads a JSON configuration, overlaying it on the defaults.
-// Unknown keys are rejected so typos fail loudly.
+// StoreConfig overlays o's store options on base: the one mapping from
+// Options to a simulated store's configuration. Every store the
+// registry builds, and every store the command-line tools build, comes
+// from it.
+func (o Options) StoreConfig(base fsim.Config) fsim.Config {
+	cfg := base
+	if o.CacheShards > 0 {
+		cfg.Cache.Shards = o.CacheShards
+	}
+	cfg.Cache.WritebackThreshold = o.Writeback
+	cfg.Cache.WritebackBatch = o.WritebackBatch
+	cfg.Cache.WritebackHighwater = o.WritebackHighwater
+	cfg.Cache.WritebackPolicy = o.SchedPolicy
+	cfg.DiskQueue = o.DiskQueue
+	if o.StoreDisks > 0 {
+		cfg.Disks = o.StoreDisks
+	}
+	cfg.RAIDLevel = o.RAID
+	cfg.Faults = o.Faults
+	cfg.Inject = o.Inject
+	cfg.Retry = o.Retry
+	cfg.Spares = o.Spares
+	return cfg
+}
+
+// DistConfig maps o onto the distributed benchmark: its servers' stores
+// via StoreConfig, and the fault-tolerance options — the RPC deadline,
+// Retry as the failover budget, the fabric fault plan, and the members
+// every server rebuilds.
+func (o Options) DistConfig() distbench.Config {
+	cfg := distbench.DefaultConfig()
+	cfg.Store = o.StoreConfig(cfg.Store)
+	cfg.Deadline = o.RPCDeadline
+	cfg.Retry = o.Retry
+	cfg.NetFaults = o.NetFaults
+	cfg.RebuildMembers = o.Rebuild
+	return cfg
+}
+
+// LoadOptions reads a JSON configuration of option-table keys, overlays
+// it on the defaults, and validates the result. Unknown keys are
+// rejected so typos fail loudly; errors name the key.
 func LoadOptions(r io.Reader) (Options, error) {
-	opts := DefaultOptions()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var cfg configJSON
-	if err := dec.Decode(&cfg); err != nil {
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return Options{}, fmt.Errorf("core: parsing config: %w", err)
 	}
-	if cfg.CPUs != nil {
-		opts.Machine.NumCPUs = *cfg.CPUs
+	keys := make([]string, 0, len(raw))
+	for k := range raw {
+		keys = append(keys, k)
 	}
-	if cfg.Disks != nil {
-		opts.Machine.NumDisks = *cfg.Disks
-	}
-	if cfg.CPUParFrac != nil {
-		opts.Machine.CPUParFrac = *cfg.CPUParFrac
-	}
-	if cfg.IOQueueDepth != nil {
-		opts.Machine.IOQueueDepth = *cfg.IOQueueDepth
-	}
-	if cfg.BaseSeconds != nil {
-		opts.Base = time.Duration(*cfg.BaseSeconds * float64(time.Second))
-	}
-	if cfg.TraceFileSizeMB != nil {
-		opts.TraceParams.FileSize = *cfg.TraceFileSizeMB << 20
-	}
-	if cfg.TraceRequests != nil {
-		opts.TraceParams.Requests = *cfg.TraceRequests
-	}
-	if cfg.CacheShards != nil {
-		// 0 in the file is an explicit ask for the machine-derived stripe
-		// count; absent keeps the deterministic single stripe.
-		if *cfg.CacheShards == 0 {
-			opts.CacheShards = buffercache.AutoShards()
-		} else {
-			opts.CacheShards = *cfg.CacheShards
-		}
-		if n := opts.CacheShards; n < 0 || n&(n-1) != 0 {
-			return Options{}, fmt.Errorf("core: cache_shards %d must be a power of two", n)
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !slices.ContainsFunc(options, func(opt option) bool { return opt.key == k }) {
+			return Options{}, fmt.Errorf("core: unknown config key %q", k)
 		}
 	}
-	if cfg.Writeback != nil {
-		if *cfg.Writeback < 0 {
-			return Options{}, fmt.Errorf("core: writeback %d must be non-negative", *cfg.Writeback)
+	opts := DefaultOptions()
+	for i := range options {
+		opt := &options[i]
+		v, ok := raw[opt.key]
+		if opt.key == "" || !ok || string(v) == "null" {
+			continue
 		}
-		opts.Writeback = *cfg.Writeback
-	}
-	if cfg.WritebackBatch != nil {
-		if *cfg.WritebackBatch < 0 {
-			return Options{}, fmt.Errorf("core: writeback_batch %d must be non-negative", *cfg.WritebackBatch)
+		text, err := opt.jsonText(v)
+		if err == nil {
+			err = opt.set(&opts, text)
 		}
-		opts.WritebackBatch = *cfg.WritebackBatch
-	}
-	if cfg.WritebackHighwater != nil {
-		if *cfg.WritebackHighwater < 0 {
-			return Options{}, fmt.Errorf("core: writeback_highwater %d must be non-negative", *cfg.WritebackHighwater)
-		}
-		if *cfg.WritebackHighwater > 0 && opts.Writeback == 0 {
-			return Options{}, fmt.Errorf("core: writeback_highwater requires writeback > 0")
-		}
-		opts.WritebackHighwater = *cfg.WritebackHighwater
-	}
-	if cfg.SchedPolicy != nil {
-		policy, err := simdisk.ParsePolicy(*cfg.SchedPolicy)
 		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
+			return Options{}, fmt.Errorf("core: %s: %w", opt.key, err)
 		}
-		opts.SchedPolicy = policy
 	}
-	if cfg.DiskQueue != nil {
-		mode, err := fsim.ParseDiskQueue(*cfg.DiskQueue)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		opts.DiskQueue = mode
-	}
-	if cfg.Faults != nil {
-		plan, err := simdisk.ParseFaultPlan(*cfg.Faults)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		opts.Faults = plan
-	}
-	if cfg.Inject != nil {
-		spec, err := fsim.ParseInjectSpec(*cfg.Inject)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		opts.Inject = spec
-	}
-	if cfg.Retry != nil {
-		pol, err := fsim.ParseRetrySpec(*cfg.Retry)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		opts.Retry = pol
-	}
-	if cfg.Shed != nil {
-		shed, err := webserver.ParseShedPolicy(*cfg.Shed)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		opts.Shed = shed
-	}
-	if cfg.Spares != nil {
-		if *cfg.Spares < 0 {
-			return Options{}, fmt.Errorf("core: spares %d must be non-negative", *cfg.Spares)
-		}
-		opts.Spares = *cfg.Spares
-	}
-	if cfg.RPCDeadline != nil {
-		d, err := time.ParseDuration(*cfg.RPCDeadline)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: rpc_deadline: %w", err)
-		}
-		if d < 0 {
-			return Options{}, fmt.Errorf("core: rpc_deadline %v must be non-negative", d)
-		}
-		opts.RPCDeadline = d
-	}
-	if cfg.NetFaults != nil {
-		plan, err := netsim.ParseFaultPlan(*cfg.NetFaults)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: %w", err)
-		}
-		if plan != nil && opts.RPCDeadline <= 0 {
-			return Options{}, fmt.Errorf("core: net_faults requires a positive rpc_deadline to detect losses")
-		}
-		opts.NetFaults = plan
-	}
-	if err := opts.Machine.Validate(); err != nil {
-		return Options{}, err
-	}
-	if opts.Base <= 0 {
-		return Options{}, fmt.Errorf("core: base_seconds must be positive")
-	}
-	if err := opts.TraceParams.Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Options{}, err
 	}
 	return opts, nil

@@ -7,11 +7,11 @@ import (
 
 	"repro/internal/buffercache"
 	"repro/internal/fsim"
-	"repro/internal/netsim"
 	"repro/internal/simdisk"
 )
 
 func TestDefaultOptionsValid(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	if err := opts.Machine.Validate(); err != nil {
 		t.Fatal(err)
@@ -25,6 +25,7 @@ func TestDefaultOptionsValid(t *testing.T) {
 }
 
 func TestFillDefaults(t *testing.T) {
+	t.Parallel()
 	var zero Options
 	filled := zero.fillDefaults()
 	if filled.Machine.NumCPUs == 0 || filled.Base == 0 || filled.TraceParams.FileSize == 0 {
@@ -33,6 +34,7 @@ func TestFillDefaults(t *testing.T) {
 }
 
 func TestLoadOptionsOverlays(t *testing.T) {
+	t.Parallel()
 	cfg := `{"cpus": 8, "disks": 4, "base_seconds": 10, "trace_file_size_mb": 64, "trace_requests": 50}`
 	opts, err := LoadOptions(strings.NewReader(cfg))
 	if err != nil {
@@ -54,6 +56,7 @@ func TestLoadOptionsOverlays(t *testing.T) {
 }
 
 func TestLoadOptionsRejects(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		cfg  string
@@ -74,6 +77,7 @@ func TestLoadOptionsRejects(t *testing.T) {
 }
 
 func TestLoadOptionsCacheShards(t *testing.T) {
+	t.Parallel()
 	opts, err := LoadOptions(strings.NewReader(`{"cache_shards": 8}`))
 	if err != nil {
 		t.Fatal(err)
@@ -91,29 +95,30 @@ func TestLoadOptionsCacheShards(t *testing.T) {
 	}
 }
 
-func TestSetOptionsCacheShardsReachStores(t *testing.T) {
-	defer SetOptions(DefaultOptions())
+func TestStoreConfigCacheShards(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.CacheShards = 8
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if got := store.Cache().NumShards(); got != 8 {
 		t.Fatalf("store built under CacheShards=8 has %d shards", got)
 	}
-	SetOptions(DefaultOptions())
-	store, err = fsim.NewFileStore(fsim.DefaultConfig())
+	store, err = fsim.NewFileStore(DefaultOptions().StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if got := store.Cache().NumShards(); got != 1 {
-		t.Fatalf("store after reset has %d shards, want 1", got)
+		t.Fatalf("store under the default options has %d shards, want 1", got)
 	}
 }
 
 func TestLoadOptionsWriteback(t *testing.T) {
+	t.Parallel()
 	opts, err := LoadOptions(strings.NewReader(`{"writeback": 32, "sched_policy": "sstf"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +135,7 @@ func TestLoadOptionsWriteback(t *testing.T) {
 }
 
 func TestLoadOptionsWritebackHighwater(t *testing.T) {
+	t.Parallel()
 	opts, err := LoadOptions(strings.NewReader(`{"writeback": 8, "writeback_highwater": 64}`))
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +150,7 @@ func TestLoadOptionsWritebackHighwater(t *testing.T) {
 		t.Fatal("negative high-water mark accepted")
 	}
 
-	defer SetOptions(DefaultOptions())
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +160,12 @@ func TestLoadOptionsWritebackHighwater(t *testing.T) {
 	}
 }
 
-func TestSetOptionsWritebackReachesStores(t *testing.T) {
-	defer SetOptions(DefaultOptions())
+func TestStoreConfigWriteback(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.Writeback = 16
 	opts.SchedPolicy = simdisk.SCAN
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
+	store, err := fsim.NewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +176,21 @@ func TestSetOptionsWritebackReachesStores(t *testing.T) {
 	if got := store.Cache().Config().WritebackPolicy; got != simdisk.SCAN {
 		t.Fatalf("write-back policy = %v, want SCAN", got)
 	}
-	SetOptions(DefaultOptions())
-	store, err = fsim.NewFileStore(fsim.DefaultConfig())
+	store, err = fsim.NewFileStore(DefaultOptions().StoreConfig(fsim.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if store.Cache().WritebackEnabled() {
-		t.Fatal("store after reset still has write-back enabled")
+		t.Fatal("store under the default options has write-back enabled")
 	}
 }
 
-func TestSetOptionsAffectsRegistry(t *testing.T) {
-	defer SetOptions(DefaultOptions())
+func TestOptionsAffectRegistry(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.Base = 1 * time.Second
-	SetOptions(opts)
-	e, ok := ByID("errorcheck")
+	e, ok := mustRegistry(t, opts).ByID("errorcheck")
 	if !ok {
 		t.Fatal("errorcheck missing")
 	}
@@ -203,6 +205,7 @@ func TestSetOptionsAffectsRegistry(t *testing.T) {
 }
 
 func TestLoadOptionsFaultTolerance(t *testing.T) {
+	t.Parallel()
 	cfg := `{"spares": 2, "rpc_deadline": "5ms", "net_faults": "kill:server0@20ms,drop:link1@10ms+5ms"}`
 	opts, err := LoadOptions(strings.NewReader(cfg))
 	if err != nil {
@@ -234,22 +237,13 @@ func TestLoadOptionsFaultTolerance(t *testing.T) {
 	}
 }
 
-func TestSetOptionsSparesReachStores(t *testing.T) {
+func TestStoreConfigSpares(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.Spares = 3
-	SetOptions(opts)
-	defer SetOptions(DefaultOptions())
-	store := fsim.MustNewFileStore(fsim.DefaultConfig())
+	store := fsim.MustNewFileStore(opts.StoreConfig(fsim.DefaultConfig()))
 	defer store.Close()
 	if store.SparePool() == nil || store.SparePool().Available() != 3 {
 		t.Fatalf("store did not pick up the configured spare pool: %+v", store.SparePool())
-	}
-	// Dropped combination: a net-fault plan without a detectable deadline.
-	opts = DefaultOptions()
-	opts.NetFaults = &netsim.FaultPlan{Faults: []netsim.Fault{{Target: "server0", Kind: netsim.FaultKill}}}
-	SetOptions(opts)
-	defer SetOptions(DefaultOptions())
-	if Current().NetFaults != nil {
-		t.Fatal("undetectable net-fault plan kept")
 	}
 }

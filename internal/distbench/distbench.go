@@ -237,6 +237,10 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	nServers := len(servers)
+	rebuilds, err := beginRebuilds(cfg, servers)
+	if err != nil {
+		return Result{}, err
+	}
 
 	t0 := time.Unix(0, 0)
 	// Per-client next-issue times and remaining request counts.
@@ -324,7 +328,51 @@ func Run(cfg Config) (Result, error) {
 	if makespan > 0 {
 		res.Throughput = float64(completed) / makespan.Seconds()
 	}
+	if err := finishRebuilds(rebuilds, &res); err != nil {
+		return Result{}, err
+	}
 	return res, nil
+}
+
+// beginRebuilds starts cfg.RebuildMembers' rebuilds on every server
+// before any request is served: every copy starts at the virtual epoch
+// on its own lane, and the foreground requests then contend with the
+// rebuild streams for the survivors' busy horizons — concurrency in
+// simulated time, driven in a fixed order on the wall clock. Both
+// runners call it, and finishRebuilds once their loop is done.
+func beginRebuilds(cfg Config, servers []*serverState) ([]*fsim.RebuildSet, error) {
+	if len(cfg.RebuildMembers) == 0 {
+		return nil, nil
+	}
+	rebuilds := make([]*fsim.RebuildSet, 0, len(servers))
+	for _, srv := range servers {
+		rs, err := srv.store.BeginRebuilds(cfg.RebuildMembers)
+		if err != nil {
+			return nil, err
+		}
+		rs.Run()
+		rebuilds = append(rebuilds, rs)
+	}
+	return rebuilds, nil
+}
+
+// finishRebuilds completes the servers' rebuilds and records them in
+// res: blocks copied across servers, the slowest copy, and the first
+// server's per-member outcome (servers are identical replicas).
+func finishRebuilds(rebuilds []*fsim.RebuildSet, res *Result) error {
+	for i, rs := range rebuilds {
+		if err := rs.Finish(); err != nil {
+			return err
+		}
+		res.RebuildRows += rs.Rows()
+		if ms := float64(rs.Elapsed()) / float64(time.Millisecond); ms > res.RebuildMS {
+			res.RebuildMS = ms
+		}
+		if i == 0 {
+			res.RebuildMembers = rs.Members()
+		}
+	}
+	return nil
 }
 
 // serveFile performs the server's doGet path: open the managed stream,

@@ -208,3 +208,31 @@ func TestTableAndFigureRender(t *testing.T) {
 		t.Fatalf("figure render:\n%s", fig)
 	}
 }
+
+// TestFastPathHonoursRebuildMembers: without a deadline the fault-free
+// runner rebuilds the configured members, as the fault-aware runner
+// does.
+func TestFastPathHonoursRebuildMembers(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nodes = 2
+	cfg.RequestsPerNode = 8
+	cfg.Store.Disks = 3
+	cfg.Store.RAIDLevel = simdisk.RAID1
+	cfg.Store.Spares = 1
+	cfg.Store.Faults = &simdisk.FaultPlan{Faults: []simdisk.Fault{{Disk: 1, Kind: simdisk.FaultDevice}}}
+	cfg.RebuildMembers = []int{1}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != int64(cfg.Nodes*cfg.RequestsPerNode) {
+		t.Fatalf("completed %d requests, want %d", res.Requests, cfg.Nodes*cfg.RequestsPerNode)
+	}
+	if res.RebuildRows <= 0 || res.RebuildMS <= 0 || len(res.RebuildMembers) != 1 {
+		t.Fatalf("fast path ignored RebuildMembers: rows=%d ms=%.2f members=%+v",
+			res.RebuildRows, res.RebuildMS, res.RebuildMembers)
+	}
+	if m := res.RebuildMembers[0]; m.Member != 1 || m.Rows <= 0 || m.Writes != m.Rows {
+		t.Fatalf("member rebuild incomplete: %+v", m)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
@@ -165,21 +164,9 @@ func runFaultAware(cfg Config) (Result, error) {
 
 	res := Result{Nodes: cfg.Nodes}
 
-	// Server-side member rebuilds begin before any request is served:
-	// every copy starts at the virtual epoch on its own lane, and the
-	// foreground requests then contend with the rebuild streams for the
-	// survivors' busy horizons — concurrency in simulated time, driven
-	// in a fixed order on the wall clock.
-	var rebuilds []*fsim.RebuildSet
-	if len(cfg.RebuildMembers) > 0 {
-		for _, srv := range servers {
-			rs, err := srv.store.BeginRebuilds(cfg.RebuildMembers)
-			if err != nil {
-				return Result{}, err
-			}
-			rs.Run()
-			rebuilds = append(rebuilds, rs)
-		}
+	rebuilds, err := beginRebuilds(cfg, servers)
+	if err != nil {
+		return Result{}, err
 	}
 
 	rg := newRing(nServers)
@@ -270,19 +257,8 @@ func runFaultAware(cfg Config) (Result, error) {
 		issued[client]++
 	}
 
-	if len(rebuilds) > 0 {
-		for i, rs := range rebuilds {
-			if err := rs.Finish(); err != nil {
-				return Result{}, err
-			}
-			res.RebuildRows += rs.Rows()
-			if ms := float64(rs.Elapsed()) / float64(time.Millisecond); ms > res.RebuildMS {
-				res.RebuildMS = ms
-			}
-			if i == 0 {
-				res.RebuildMembers = rs.Members()
-			}
-		}
+	if err := finishRebuilds(rebuilds, &res); err != nil {
+		return Result{}, err
 	}
 
 	makespan := end.Sub(t0)

@@ -21,14 +21,13 @@ func vmCalibration() vm.Config {
 	return cfg
 }
 
-// storeCalibration returns the file-store configuration for the web
-// benchmarks. Unlike the trace replays (whose 1 GB file is mostly hot in
+// storeCalibration overlays the web benchmarks' disk path on a
+// file-store configuration. Unlike the trace replays (whose 1 GB file is mostly hot in
 // the OS cache), the web corpus is cold on first touch, so the backing
 // store is given millisecond-scale access costs approximating a desktop
 // disk path with partial caching — first reads of the ~7-50 KB images
 // then land near the paper's 1.7-2.2 ms.
-func storeCalibration() fsim.Config {
-	cfg := fsim.DefaultConfig()
+func storeCalibration(cfg fsim.Config) fsim.Config {
 	cfg.Disk = simdisk.Params{
 		Capacity:           8 << 30,
 		TrackToTrackSeek:   200 * time.Microsecond,
@@ -60,10 +59,11 @@ type Harness struct {
 // clients.
 func (h *Harness) ServerAddr() string { return h.addr }
 
-// NewHarness starts a cold server (fresh runtime, fresh store, corpus
-// installed) and connects a client.
-func NewHarness() (*Harness, error) {
-	store, err := fsim.NewFileStore(storeCalibration())
+// NewHarness starts a cold server (fresh runtime, a fresh store built
+// from the calibrated store config, corpus installed) that applies the
+// shed policy, and connects a client.
+func NewHarness(cfg fsim.Config, shed ShedPolicy) (*Harness, error) {
+	store, err := fsim.NewFileStore(storeCalibration(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func NewHarness() (*Harness, error) {
 		return nil, err
 	}
 	rt.RegisterBCL()
-	srv, err := New(Config{Store: store, Runtime: rt})
+	srv, err := New(Config{Store: store, Runtime: rt, Shed: shed})
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +106,11 @@ func (h *Harness) Close() {
 
 // Table5 regenerates the paper's Table 5: for each image file, the
 // server-side response time of its first read (GET) and first write
-// (POST of the same payload), on a cold VM.
-func Table5() (*metrics.Table, []RequestRecord, error) {
-	h, err := NewHarness()
+// (POST of the same payload), on a cold VM. The store is cfg under the
+// web disk calibration and the server applies shed; fsim.DefaultConfig()
+// and the zero ShedPolicy are the paper's configuration.
+func Table5(cfg fsim.Config, shed ShedPolicy) (*metrics.Table, []RequestRecord, error) {
+	h, err := NewHarness(cfg, shed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,9 +143,9 @@ const Table6Trials = 6
 
 // Table6 regenerates the paper's Table 6: the response time of reading
 // the same ~14 KB file six times on a cold VM — the JIT-plus-buffer-cache
-// warm-up curve.
-func Table6() (*metrics.Table, []float64, error) {
-	h, err := NewHarness()
+// warm-up curve. cfg and shed configure the fixture as for Table5.
+func Table6(cfg fsim.Config, shed ShedPolicy) (*metrics.Table, []float64, error) {
+	h, err := NewHarness(cfg, shed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,8 +171,8 @@ func Table6() (*metrics.Table, []float64, error) {
 
 // Figure6 renders Table 6's series as the paper's Figure 6 line chart:
 // response time of read operations vs trial number.
-func Figure6() (*metrics.Figure, []float64, error) {
-	_, times, err := Table6()
+func Figure6(cfg fsim.Config, shed ShedPolicy) (*metrics.Figure, []float64, error) {
+	_, times, err := Table6(cfg, shed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -30,3 +30,22 @@ func FuzzParseRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShedPolicy: any policy the -shed grammar accepts is valid,
+// and its rendering re-parses to an equal policy. The seed corpus is
+// under testdata/fuzz.
+func FuzzParseShedPolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseShedPolicy(s)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParseShedPolicy(%q) accepted an invalid policy: %v", s, err)
+		}
+		again, err := ParseShedPolicy(p.String())
+		if err != nil || again != p {
+			t.Fatalf("round trip %q -> %q -> %+v (%v), want %+v", s, p.String(), again, err, p)
+		}
+	})
+}

@@ -129,21 +129,33 @@ func TestSuccessRecordsStatus(t *testing.T) {
 	}
 }
 
-// TestDefaultShedApplies pins the process-default hook New folds into a
-// zero-Shed Config.
+// TestDefaultShedApplies pins the shed policy the web fixtures run
+// under: the zero policy (the default) never sheds, and a harness given
+// a policy applies it to its server.
 func TestDefaultShedApplies(t *testing.T) {
-	SetDefaultShed(ShedPolicy{Deadline: time.Nanosecond})
-	defer SetDefaultShed(ShedPolicy{})
-	srv, c := shedFixture(t, ShedPolicy{})
-	resp, err := c.Get(workload.WebCorpus()[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 503 {
-		t.Fatalf("status = %d, want 503 from the default policy", resp.Status)
-	}
-	if recs := srv.Records(); len(recs) != 1 || !recs[0].Deadlined {
-		t.Fatalf("records = %+v", recs)
+	for _, tc := range []struct {
+		shed   ShedPolicy
+		status int
+	}{
+		{ShedPolicy{}, 200},
+		{ShedPolicy{Deadline: time.Nanosecond}, 503},
+	} {
+		h, err := NewHarness(fsim.DefaultConfig(), tc.shed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := h.Client.Get(workload.WebCorpus()[0].Name)
+		recs := h.Server.Records()
+		h.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != tc.status {
+			t.Fatalf("shed %+v: status = %d, want %d", tc.shed, resp.Status, tc.status)
+		}
+		if len(recs) != 1 || recs[0].Deadlined != (tc.status == 503) {
+			t.Fatalf("shed %+v: records = %+v", tc.shed, recs)
+		}
 	}
 }
 
