@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke fmt vet fmt-check ci
+.PHONY: all build test perfbench-test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke loc fmt vet fmt-check ci
 
 all: build
 
@@ -122,6 +122,17 @@ stdfs-smoke:
 distfault-smoke:
 	$(GO) run ./examples/distributed
 	$(GO) run ./cmd/webbench -mode degraded -addr 127.0.0.1:0 -clients 12 -requests 40
+
+# Line counts: non-test and test .go lines for each package under
+# internal/, then the totals for internal/ and cmd/. A change's net
+# line delta is the difference of two runs of this target.
+loc:
+	@count() { find "$$@" -print0 | xargs -0r cat | wc -l; }; \
+	for d in internal/* internal cmd; do \
+		printf '%-24s src %6d  test %6d\n' "$$d" \
+			$$(count $$d -name '*.go' ! -name '*_test.go') \
+			$$(count $$d -name '*_test.go'); \
+	done
 
 fmt:
 	gofmt -w .

@@ -542,7 +542,9 @@ func replayFaulted(plan *simdisk.FaultPlan, inject fsim.InjectSpec, retry fsim.R
 	}
 	rp := tracesim.NewReplayer(store)
 	rp.SampleFileSize = fileSize
-	rp.RebuildMember = rebuild
+	if rebuild >= 0 {
+		rp.RebuildMembers = []int{rebuild}
+	}
 	rep, err := rp.ReplayConcurrent("Parallel", tr)
 	if err != nil {
 		store.Close()

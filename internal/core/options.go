@@ -81,7 +81,7 @@ type Options struct {
 	// servers rebuild them.
 	Rebuild []int
 	// RPCDeadline is the distributed benchmark's client RPC deadline;
-	// zero keeps the fault-free fast path.
+	// zero sends each client to a fixed server with no failover.
 	RPCDeadline time.Duration
 	// NetFaults schedules node kills and link-drop windows on the
 	// distributed benchmark's fabric. Requires RPCDeadline > 0.

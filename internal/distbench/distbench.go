@@ -45,11 +45,13 @@ type Config struct {
 	// Corpus is the served file set.
 	Corpus []workload.FileSpec
 
-	// Deadline is each client's RPC deadline: a request whose response
-	// was lost is declared failed Deadline after the attempt was issued,
-	// and the client fails over to the next replica on the consistent-
-	// hash ring. Zero keeps the fault-free fast path (static round-robin
-	// assignment), byte-identical to the pre-fault benchmark.
+	// Deadline is each client's RPC deadline. Zero sends every request
+	// of client i to server i modulo the server count and leaves
+	// Result.Curve nil. A positive deadline routes each request by file
+	// name on a consistent-hash ring: a request whose response was lost
+	// is declared failed Deadline after the attempt was issued, the
+	// client fails over to the next replica on the ring, and the result
+	// carries the availability curve.
 	Deadline time.Duration
 	// Retry bounds failover: up to Max retries per request, with
 	// simulated-time exponential backoff Base<<attempt between the
@@ -66,9 +68,6 @@ type Config struct {
 	// concurrently with serving (hot-spare pools: pair with
 	// Store.Spares and a Store.Faults plan that kills the members).
 	RebuildMembers []int
-	// CurveBuckets is the availability curve's resolution (default 20
-	// buckets over the makespan) on the fault-aware path.
-	CurveBuckets int
 }
 
 // DefaultConfig returns a LAN cluster serving the web corpus: 4 workers,
@@ -108,9 +107,6 @@ func (c Config) Validate() error {
 	if c.NetFaults != nil && c.Deadline <= 0 {
 		return fmt.Errorf("distbench: a network fault plan needs a positive Deadline to detect losses")
 	}
-	if c.CurveBuckets < 0 {
-		return fmt.Errorf("distbench: negative curve bucket count %d", c.CurveBuckets)
-	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
 	}
@@ -138,8 +134,8 @@ type Result struct {
 	// NetBusy is the fabric's total NIC busy time.
 	NetBusy time.Duration
 
-	// The fault-aware path (Deadline > 0) fills the availability story;
-	// all zero on the fault-free fast path.
+	// A run with a Deadline fills the availability story; without one
+	// these stay zero and Curve stays nil.
 	//
 	// TimedOut counts deadline expiries (one per lost attempt), Retried
 	// counts the failover attempts issued after them, Recovered counts
@@ -221,44 +217,75 @@ func buildCluster(cfg Config) ([]*serverState, *netsim.Network, error) {
 	return servers, net, nil
 }
 
-// Run executes one distributed load and returns its result. With a
-// Deadline configured it runs the fault-aware path (consistent-hash
-// routing, failover, availability curve); otherwise the fault-free fast
-// path below, byte-identical to the pre-fault benchmark.
+// Run executes one distributed load and returns its result. One event
+// loop on one goroutine serves every configuration: the client with the
+// earliest next-issue time steps, its request crosses the fabric, the
+// chosen server's earliest-free worker serves the file, and the
+// response crosses back — so every timing is a pure function of the
+// configuration. Without a Deadline client i always talks to server i
+// modulo the server count and the result has no availability curve;
+// with one, requests route by the consistent-hash ring, a lost attempt
+// fails over once the deadline expires, and the result carries the
+// curve.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.Deadline > 0 {
-		return runFaultAware(cfg)
 	}
 	servers, net, err := buildCluster(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	nServers := len(servers)
+	t0 := time.Unix(0, 0)
+
+	// Resolve and apply the fault plan against this run's layout. The
+	// plan is cloned first: Resolve binds node indices, and the same
+	// plan value sweeps across runs with different node counts.
+	var firstKill time.Time
+	if cfg.NetFaults != nil {
+		plan := &netsim.FaultPlan{Faults: append([]netsim.Fault(nil), cfg.NetFaults.Faults...)}
+		if err := plan.Resolve(nodeLayout(cfg.Nodes, nServers)); err != nil {
+			return Result{}, err
+		}
+		if err := net.ApplyFaultPlan(t0, plan); err != nil {
+			return Result{}, err
+		}
+		for _, f := range plan.Faults {
+			if f.Kind != netsim.FaultKill {
+				continue
+			}
+			if at := t0.Add(f.At); firstKill.IsZero() || at.Before(firstKill) {
+				firstKill = at
+			}
+		}
+	}
+
+	res := Result{Nodes: cfg.Nodes}
+
 	rebuilds, err := beginRebuilds(cfg, servers)
 	if err != nil {
 		return Result{}, err
 	}
 
-	t0 := time.Unix(0, 0)
-	// Per-client next-issue times and remaining request counts.
+	rg := newRing(nServers)
 	nextIssue := make([]time.Time, cfg.Nodes)
 	remaining := make([]int, cfg.Nodes)
 	issued := make([]int, cfg.Nodes)
+	suspected := make([]map[int]bool, cfg.Nodes)
 	for i := range nextIssue {
 		nextIssue[i] = t0
 		remaining[i] = cfg.RequestsPerNode
+		suspected[i] = make(map[int]bool)
 	}
 
-	var latencies metrics.Sample
-	var serverIO metrics.Sample
-	var completed int64
+	var latencies, serverIO metrics.Sample
+	var completions []time.Time
+	var lastRecovered time.Time
+	prefBuf := make([]int, 0, nServers)
+	tried := make(map[int]bool, nServers)
 	end := t0
 
 	for {
-		// Pick the client with the earliest next-issue time.
 		client := -1
 		for i := range nextIssue {
 			if remaining[i] == 0 {
@@ -271,65 +298,86 @@ func Run(cfg Config) (Result, error) {
 		if client == -1 {
 			break
 		}
-		issueTime := nextIssue[client]
+		issue0 := nextIssue[client]
 		spec := cfg.Corpus[(client+issued[client])%len(cfg.Corpus)]
-		srv := servers[client%nServers]
-
-		// Request message crosses the fabric.
-		reqArrive, err := net.Send(issueTime, client, srv.node, cfg.RequestBytes)
-		if err != nil {
-			return Result{}, err
+		if cfg.Deadline > 0 {
+			prefBuf = rg.prefs(spec.Name, prefBuf[:cap(prefBuf)])
+			clear(tried)
 		}
-		// Earliest-free worker on the client's server picks it up.
-		w := 0
-		for i := range srv.workerFree {
-			if srv.workerFree[i].Before(srv.workerFree[w]) {
-				w = i
+
+		t := issue0
+		attempt := 0
+		timedOut := false
+		var completion time.Time
+		for {
+			s := client % nServers
+			if cfg.Deadline > 0 {
+				s = pickServer(prefBuf, suspected[client], tried, attempt)
+				tried[s] = true
 			}
-		}
-		start := reqArrive
-		if srv.workerFree[w].After(start) {
-			start = srv.workerFree[w]
-		}
-		// Server-side file I/O through the managed runtime.
-		ioTime, err := serveFile(srv.rt, srv.store, spec.Name)
-		if err != nil {
-			return Result{}, err
-		}
-		ioDone := start.Add(ioTime)
-		srv.workerFree[w] = ioDone
-		serverIO.AddDuration(ioTime)
+			srv := servers[s]
 
-		// Response crosses back; the server NIC serializes responses.
-		respArrive, err := net.Send(ioDone, srv.node, client, spec.Size)
-		if err != nil {
-			return Result{}, err
+			respArrive, ok, err := attemptRequest(cfg, net, srv, client, spec.Name, spec.Size, t, &serverIO)
+			if err != nil {
+				return Result{}, err
+			}
+			if ok {
+				latencies.AddDuration(respArrive.Sub(issue0))
+				completions = append(completions, respArrive)
+				completion = respArrive
+				res.Requests++
+				if timedOut {
+					res.Recovered++
+					if respArrive.After(lastRecovered) {
+						lastRecovered = respArrive
+					}
+				}
+				break
+			}
+			// The attempt's response never arrived: the deadline fires,
+			// the replica joins the client's suspect set, and the client
+			// backs off before the next ring successor.
+			res.TimedOut++
+			timedOut = true
+			suspected[client][s] = true
+			expiry := t.Add(cfg.Deadline)
+			if attempt >= cfg.Retry.Max {
+				res.Lost++
+				completion = expiry
+				break
+			}
+			res.Retried++
+			t = expiry.Add(cfg.Retry.Base << attempt)
+			attempt++
 		}
-		latencies.AddDuration(respArrive.Sub(issueTime))
-		completed++
-		if respArrive.After(end) {
-			end = respArrive
+
+		if completion.After(end) {
+			end = completion
 		}
-		nextIssue[client] = respArrive
+		nextIssue[client] = completion
 		remaining[client]--
 		issued[client]++
 	}
 
-	makespan := end.Sub(t0)
-	res := Result{
-		Nodes:         cfg.Nodes,
-		Requests:      completed,
-		Makespan:      makespan,
-		MeanLatencyMS: latencies.Mean(),
-		P99LatencyMS:  latencies.Quantile(0.99),
-		ServerIOMS:    serverIO.Mean(),
-		NetBusy:       net.Stats().BusyTime,
-	}
-	if makespan > 0 {
-		res.Throughput = float64(completed) / makespan.Seconds()
-	}
 	if err := finishRebuilds(rebuilds, &res); err != nil {
 		return Result{}, err
+	}
+
+	makespan := end.Sub(t0)
+	res.Makespan = makespan
+	res.MeanLatencyMS = latencies.Mean()
+	res.P99LatencyMS = latencies.Quantile(0.99)
+	res.ServerIOMS = serverIO.Mean()
+	res.NetBusy = net.Stats().BusyTime
+	res.Dropped = net.Stats().Dropped
+	if makespan > 0 {
+		res.Throughput = float64(res.Requests) / makespan.Seconds()
+	}
+	if cfg.Deadline > 0 {
+		res.Curve = availabilityCurve(t0, end, completions)
+	}
+	if !firstKill.IsZero() && !lastRecovered.IsZero() && lastRecovered.After(firstKill) {
+		res.TimeToSteadyMS = float64(lastRecovered.Sub(firstKill)) / float64(time.Millisecond)
 	}
 	return res, nil
 }
@@ -338,8 +386,8 @@ func Run(cfg Config) (Result, error) {
 // before any request is served: every copy starts at the virtual epoch
 // on its own lane, and the foreground requests then contend with the
 // rebuild streams for the survivors' busy horizons — concurrency in
-// simulated time, driven in a fixed order on the wall clock. Both
-// runners call it, and finishRebuilds once their loop is done.
+// simulated time, driven in a fixed order on the wall clock. Run calls
+// finishRebuilds once its loop is done.
 func beginRebuilds(cfg Config, servers []*serverState) ([]*fsim.RebuildSet, error) {
 	if len(cfg.RebuildMembers) == 0 {
 		return nil, nil

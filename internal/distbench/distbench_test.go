@@ -57,6 +57,9 @@ func TestRunCompletesAllRequests(t *testing.T) {
 	if res.MeanLatencyMS <= 0 || res.P99LatencyMS < res.MeanLatencyMS {
 		t.Fatalf("latency stats wrong: mean %v p99 %v", res.MeanLatencyMS, res.P99LatencyMS)
 	}
+	if res.Curve != nil {
+		t.Fatalf("deadline-less run has an availability curve: %+v", res.Curve)
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -209,9 +212,8 @@ func TestTableAndFigureRender(t *testing.T) {
 	}
 }
 
-// TestFastPathHonoursRebuildMembers: without a deadline the fault-free
-// runner rebuilds the configured members, as the fault-aware runner
-// does.
+// TestFastPathHonoursRebuildMembers: a run without a deadline rebuilds
+// the configured members, as a run with one does.
 func TestFastPathHonoursRebuildMembers(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 2

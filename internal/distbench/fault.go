@@ -23,8 +23,8 @@ import (
 // without making ring construction measurable.
 const ringVnodes = 64
 
-// defaultCurveBuckets is the availability curve's resolution.
-const defaultCurveBuckets = 20
+// curveBuckets is the availability curve's resolution.
+const curveBuckets = 20
 
 // ring is a consistent-hash ring over server indices. Requests route by
 // file name, so a file's requests land on the same replica (cache
@@ -128,162 +128,12 @@ func nodeLayout(nodes, nServers int) func(target string) (int, error) {
 	}
 }
 
-// runFaultAware is Run's deadline/failover path. The event loop keeps
-// the fault-free path's shape — one goroutine, the earliest next-issue
-// client steps — so the run is deterministic by construction: every
-// timing is a pure function of the configuration.
-func runFaultAware(cfg Config) (Result, error) {
-	servers, net, err := buildCluster(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	nServers := len(servers)
-	t0 := time.Unix(0, 0)
-
-	// Resolve and apply the fault plan against this run's layout. The
-	// plan is cloned first: Resolve binds node indices, and the same
-	// plan value sweeps across runs with different node counts.
-	var firstKill time.Time
-	if cfg.NetFaults != nil {
-		plan := &netsim.FaultPlan{Faults: append([]netsim.Fault(nil), cfg.NetFaults.Faults...)}
-		if err := plan.Resolve(nodeLayout(cfg.Nodes, nServers)); err != nil {
-			return Result{}, err
-		}
-		if err := net.ApplyFaultPlan(t0, plan); err != nil {
-			return Result{}, err
-		}
-		for _, f := range plan.Faults {
-			if f.Kind != netsim.FaultKill {
-				continue
-			}
-			if at := t0.Add(f.At); firstKill.IsZero() || at.Before(firstKill) {
-				firstKill = at
-			}
-		}
-	}
-
-	res := Result{Nodes: cfg.Nodes}
-
-	rebuilds, err := beginRebuilds(cfg, servers)
-	if err != nil {
-		return Result{}, err
-	}
-
-	rg := newRing(nServers)
-	nextIssue := make([]time.Time, cfg.Nodes)
-	remaining := make([]int, cfg.Nodes)
-	issued := make([]int, cfg.Nodes)
-	suspected := make([]map[int]bool, cfg.Nodes)
-	for i := range nextIssue {
-		nextIssue[i] = t0
-		remaining[i] = cfg.RequestsPerNode
-		suspected[i] = make(map[int]bool)
-	}
-
-	var latencies, serverIO metrics.Sample
-	var completions []time.Time
-	var lastRecovered time.Time
-	prefBuf := make([]int, 0, nServers)
-	tried := make(map[int]bool, nServers)
-	end := t0
-
-	for {
-		client := -1
-		for i := range nextIssue {
-			if remaining[i] == 0 {
-				continue
-			}
-			if client == -1 || nextIssue[i].Before(nextIssue[client]) {
-				client = i
-			}
-		}
-		if client == -1 {
-			break
-		}
-		issue0 := nextIssue[client]
-		spec := cfg.Corpus[(client+issued[client])%len(cfg.Corpus)]
-		prefBuf = rg.prefs(spec.Name, prefBuf[:cap(prefBuf)])
-		for k := range tried {
-			delete(tried, k)
-		}
-
-		t := issue0
-		attempt := 0
-		timedOut := false
-		var completion time.Time
-		for {
-			srv := servers[pickServer(prefBuf, suspected[client], tried, attempt)]
-			tried[srv.node-cfg.Nodes] = true
-
-			respArrive, ok, err := attemptRequest(cfg, net, srv, client, spec.Name, spec.Size, t, &serverIO)
-			if err != nil {
-				return Result{}, err
-			}
-			if ok {
-				latencies.AddDuration(respArrive.Sub(issue0))
-				completions = append(completions, respArrive)
-				completion = respArrive
-				res.Requests++
-				if timedOut {
-					res.Recovered++
-					if respArrive.After(lastRecovered) {
-						lastRecovered = respArrive
-					}
-				}
-				break
-			}
-			// The attempt's response never arrived: the deadline fires,
-			// the replica joins the client's suspect set, and the client
-			// backs off before the next ring successor.
-			res.TimedOut++
-			timedOut = true
-			suspected[client][srv.node-cfg.Nodes] = true
-			expiry := t.Add(cfg.Deadline)
-			if attempt >= cfg.Retry.Max {
-				res.Lost++
-				completion = expiry
-				break
-			}
-			res.Retried++
-			t = expiry.Add(cfg.Retry.Base << attempt)
-			attempt++
-		}
-
-		if completion.After(end) {
-			end = completion
-		}
-		nextIssue[client] = completion
-		remaining[client]--
-		issued[client]++
-	}
-
-	if err := finishRebuilds(rebuilds, &res); err != nil {
-		return Result{}, err
-	}
-
-	makespan := end.Sub(t0)
-	res.Makespan = makespan
-	res.MeanLatencyMS = latencies.Mean()
-	res.P99LatencyMS = latencies.Quantile(0.99)
-	res.ServerIOMS = serverIO.Mean()
-	res.NetBusy = net.Stats().BusyTime
-	res.Dropped = net.Stats().Dropped
-	if makespan > 0 {
-		res.Throughput = float64(res.Requests) / makespan.Seconds()
-	}
-	res.Curve = availabilityCurve(t0, end, completions, cfg.CurveBuckets)
-	if !firstKill.IsZero() && !lastRecovered.IsZero() && lastRecovered.After(firstKill) {
-		res.TimeToSteadyMS = float64(lastRecovered.Sub(firstKill)) / float64(time.Millisecond)
-	}
-	return res, nil
-}
-
 // attemptRequest runs one request attempt end to end and reports
 // whether the response arrived. A lost request or response leaves the
 // client waiting for its deadline; a server that is dead when the
 // request would start service never serves it.
 func attemptRequest(cfg Config, net *netsim.Network, srv *serverState, client int, name string, size int64, t time.Time, serverIO *metrics.Sample) (time.Time, bool, error) {
-	reqArrive, lost, err := net.SendLossy(t, client, srv.node, cfg.RequestBytes)
+	reqArrive, lost, err := net.Send(t, client, srv.node, cfg.RequestBytes)
 	if err != nil {
 		return time.Time{}, false, err
 	}
@@ -311,7 +161,7 @@ func attemptRequest(cfg Config, net *netsim.Network, srv *serverState, client in
 	ioDone := start.Add(ioTime)
 	srv.workerFree[w] = ioDone
 	serverIO.AddDuration(ioTime)
-	respArrive, lost, err := net.SendLossy(ioDone, srv.node, client, size)
+	respArrive, lost, err := net.Send(ioDone, srv.node, client, size)
 	if err != nil {
 		return time.Time{}, false, err
 	}
@@ -341,27 +191,24 @@ func pickServer(prefs []int, suspected, tried map[int]bool, attempt int) int {
 
 // availabilityCurve buckets completion times into a fixed-resolution
 // throughput curve over [t0, end].
-func availabilityCurve(t0, end time.Time, completions []time.Time, buckets int) []CurvePoint {
-	if buckets == 0 {
-		buckets = defaultCurveBuckets
-	}
+func availabilityCurve(t0, end time.Time, completions []time.Time) []CurvePoint {
 	makespan := end.Sub(t0)
 	if makespan <= 0 || len(completions) == 0 {
 		return nil
 	}
-	counts := make([]int64, buckets)
+	counts := make([]int64, curveBuckets)
 	for _, c := range completions {
-		i := int(int64(c.Sub(t0)) * int64(buckets) / int64(makespan))
-		if i >= buckets {
-			i = buckets - 1
+		i := int(int64(c.Sub(t0)) * int64(curveBuckets) / int64(makespan))
+		if i >= curveBuckets {
+			i = curveBuckets - 1
 		}
 		counts[i]++
 	}
-	width := makespan / time.Duration(buckets)
-	curve := make([]CurvePoint, buckets)
+	width := makespan / time.Duration(curveBuckets)
+	curve := make([]CurvePoint, curveBuckets)
 	for i, n := range counts {
 		curve[i] = CurvePoint{
-			EndMS:      float64(makespan) * float64(i+1) / float64(buckets) / float64(time.Millisecond),
+			EndMS:      float64(makespan) * float64(i+1) / float64(curveBuckets) / float64(time.Millisecond),
 			Throughput: float64(n) / width.Seconds(),
 		}
 	}

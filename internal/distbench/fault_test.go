@@ -108,11 +108,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		t.Fatal("negative deadline accepted")
 	}
 	cfg = faultConfig()
-	cfg.CurveBuckets = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative curve bucket count accepted")
-	}
-	cfg = faultConfig()
 	cfg.Retry.Max = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative retry budget accepted")
@@ -132,8 +127,8 @@ func TestDeadlinePathFaultFreeCompletesAll(t *testing.T) {
 	if res.TimedOut != 0 || res.Retried != 0 || res.Recovered != 0 || res.Lost != 0 || res.Dropped != 0 {
 		t.Fatalf("fault-free deadline run produced fault tallies: %+v", res)
 	}
-	if len(res.Curve) != defaultCurveBuckets {
-		t.Fatalf("curve has %d buckets, want %d", len(res.Curve), defaultCurveBuckets)
+	if len(res.Curve) != curveBuckets {
+		t.Fatalf("curve has %d buckets, want %d", len(res.Curve), curveBuckets)
 	}
 	var curveTotal float64
 	width := res.Makespan.Seconds() / float64(len(res.Curve))

@@ -209,8 +209,7 @@ type nodeFaults struct {
 
 // ApplyFaultPlan validates the (resolved) plan against the network and
 // schedules its faults. Activation offsets are measured from epoch. A
-// nil plan is a no-op and keeps Send bit-identical to the fault-free
-// path.
+// nil plan is a no-op.
 func (n *Network) ApplyFaultPlan(epoch time.Time, plan *FaultPlan) error {
 	if plan == nil {
 		return nil
@@ -274,47 +273,4 @@ func (n *Network) NodeDead(at time.Time, node int) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.nodeDeadLocked(at, node)
-}
-
-// SendLossy is Send under the fault plan: it transmits size bytes from
-// src to dst starting no earlier than now and reports whether the
-// message was lost. A dead sender transmits nothing (no billing); a live
-// sender is billed whether or not the message arrives — the sender
-// cannot know the far end is gone, which is exactly why callers pair
-// SendLossy with an RPC deadline. The message is lost when the sender's
-// link is down at transmission start, the receiver's link is down at
-// delivery, or the receiver is dead at delivery. With no fault plan
-// applied it is bit-identical to Send.
-func (n *Network) SendLossy(now time.Time, src, dst int, size int64) (done time.Time, lost bool, err error) {
-	if src < 0 || src >= len(n.nicBusy) || dst < 0 || dst >= len(n.nicBusy) {
-		return now, false, fmt.Errorf("netsim: send %d->%d outside 0..%d", src, dst, len(n.nicBusy)-1)
-	}
-	if size < 0 {
-		return now, false, fmt.Errorf("netsim: negative message size %d", size)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	start := now
-	if n.nicBusy[src].After(start) {
-		start = n.nicBusy[src]
-	}
-	if n.nodeDeadLocked(start, src) {
-		n.stats.Dropped++
-		return time.Time{}, true, nil
-	}
-	if src == dst {
-		done = start.Add(n.params.PerMessageCPU)
-	} else {
-		done = start.Add(n.params.MessageCost(size))
-	}
-	n.nicBusy[src] = done
-	n.stats.Messages++
-	n.stats.Bytes += size
-	n.stats.BusyTime += done.Sub(start)
-	if src != dst &&
-		(n.linkDownLocked(start, src) || n.linkDownLocked(done, dst) || n.nodeDeadLocked(done, dst)) {
-		n.stats.Dropped++
-		return done, true, nil
-	}
-	return done, false, nil
 }

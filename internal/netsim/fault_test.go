@@ -91,34 +91,6 @@ type unknownTarget struct{ t string }
 
 func (e *unknownTarget) Error() string { return "unknown target " + e.t }
 
-// TestSendLossyFaultFreeMatchesSend pins the invariant the distbench
-// fault-aware path relies on: with no plan applied, SendLossy is
-// bit-identical to Send.
-func TestSendLossyFaultFreeMatchesSend(t *testing.T) {
-	a := MustNew(4, LANParams())
-	b := MustNew(4, LANParams())
-	t0 := time.Unix(0, 0)
-	sends := []struct {
-		src, dst int
-		size     int64
-	}{{0, 1, 4096}, {1, 2, 0}, {2, 2, 128}, {0, 3, 1 << 20}, {0, 1, 64}}
-	now := t0
-	for _, s := range sends {
-		d1, err1 := a.Send(now, s.src, s.dst, s.size)
-		d2, lost, err2 := b.SendLossy(now, s.src, s.dst, s.size)
-		if err1 != nil || err2 != nil || lost {
-			t.Fatalf("send %+v: (%v, %v, lost=%v)", s, err1, err2, lost)
-		}
-		if !d1.Equal(d2) {
-			t.Fatalf("send %+v: Send %v vs SendLossy %v", s, d1, d2)
-		}
-		now = d1
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
-	}
-}
-
 func TestKillDropsDeliveriesAfterDeath(t *testing.T) {
 	n := MustNew(3, LANParams())
 	t0 := time.Unix(0, 0)
@@ -133,7 +105,7 @@ func TestKillDropsDeliveriesAfterDeath(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	// Delivery before the kill arrives.
-	if _, lost, err := n.SendLossy(t0, 0, 1, 64); err != nil || lost {
+	if _, lost, err := n.Send(t0, 0, 1, 64); err != nil || lost {
 		t.Fatalf("pre-kill send lost=%v err=%v", lost, err)
 	}
 	if !n.NodeDead(t0.Add(time.Millisecond), 1) {
@@ -142,7 +114,7 @@ func TestKillDropsDeliveriesAfterDeath(t *testing.T) {
 	// A message delivered after the kill is lost, but the sender's NIC is
 	// still billed (the sender cannot know).
 	before := n.Stats()
-	done2, lost2, err := n.SendLossy(t0.Add(2*time.Millisecond), 0, 1, 64)
+	done2, lost2, err := n.Send(t0.Add(2*time.Millisecond), 0, 1, 64)
 	if err != nil || !lost2 {
 		t.Fatalf("post-kill send lost=%v err=%v", lost2, err)
 	}
@@ -155,7 +127,7 @@ func TestKillDropsDeliveriesAfterDeath(t *testing.T) {
 	}
 	// The dead node transmits nothing: no billing, message lost.
 	before = after
-	_, lost3, err := n.SendLossy(done2, 1, 0, 64)
+	_, lost3, err := n.Send(done2, 1, 0, 64)
 	if err != nil || !lost3 {
 		t.Fatalf("dead sender lost=%v err=%v", lost3, err)
 	}
@@ -182,22 +154,22 @@ func TestDropWindowLosesOnlyInsideWindow(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	// Delivered at +1ms: before the window.
-	if _, lost, _ := n.SendLossy(t0, 0, 1, 0); lost {
+	if _, lost, _ := n.Send(t0, 0, 1, 0); lost {
 		t.Fatalf("pre-window delivery lost")
 	}
 	// Delivered at +12ms: inside the window on the receiver's link.
-	if _, lost, _ := n.SendLossy(t0.Add(11*time.Millisecond), 0, 1, 0); !lost {
+	if _, lost, _ := n.Send(t0.Add(11*time.Millisecond), 0, 1, 0); !lost {
 		t.Fatalf("in-window delivery survived")
 	}
 	// Transmission starting at +12ms from the dropped node: outgoing lost.
-	if _, lost, _ := n.SendLossy(t0.Add(12*time.Millisecond), 1, 0, 0); !lost {
+	if _, lost, _ := n.Send(t0.Add(12*time.Millisecond), 1, 0, 0); !lost {
 		t.Fatalf("in-window outgoing survived")
 	}
 	// After the window lifts, both directions work again.
-	if _, lost, _ := n.SendLossy(t0.Add(20*time.Millisecond), 0, 1, 0); lost {
+	if _, lost, _ := n.Send(t0.Add(20*time.Millisecond), 0, 1, 0); lost {
 		t.Fatalf("post-window delivery lost")
 	}
-	if _, lost, _ := n.SendLossy(t0.Add(20*time.Millisecond), 1, 0, 0); lost {
+	if _, lost, _ := n.Send(t0.Add(20*time.Millisecond), 1, 0, 0); lost {
 		t.Fatalf("post-window outgoing lost")
 	}
 }

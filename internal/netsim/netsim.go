@@ -7,13 +7,12 @@
 // this package.
 //
 // The model is the standard alpha-beta (latency-bandwidth) point-to-point
-// cost with per-NIC serialization, plus the usual logarithmic collective
-// algorithms built on it. Everything is deterministic virtual time.
+// cost with per-NIC serialization, under an optional fault plan of node
+// kills and link outages. Everything is deterministic virtual time.
 package netsim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -67,12 +66,11 @@ func (p Params) MessageCost(n int64) time.Duration {
 
 // Stats counts network activity.
 type Stats struct {
-	Messages   int64
-	Bytes      int64
-	BusyTime   time.Duration
-	Collective int64
+	Messages int64
+	Bytes    int64
+	BusyTime time.Duration
 	// Dropped counts messages lost to node kills or link-drop windows
-	// (SendLossy under a FaultPlan).
+	// under a FaultPlan.
 	Dropped int64
 }
 
@@ -85,8 +83,8 @@ type Network struct {
 	nicBusy []time.Time
 	stats   Stats
 	// epoch anchors the fault plan's virtual offsets; flt is per-node
-	// fault state, nil while no plan is applied so the fault-free paths
-	// pay one nil check.
+	// fault state, nil while no plan is applied so a fault-free Send
+	// pays one nil check.
 	epoch time.Time
 	flt   []*nodeFaults
 }
@@ -125,14 +123,21 @@ func (n *Network) Stats() Stats {
 }
 
 // Send transmits size bytes from node src to node dst, starting no
-// earlier than now, and returns the delivery time. Sends from a busy NIC
-// queue behind it. Sending to self costs only the software overhead.
-func (n *Network) Send(now time.Time, src, dst int, size int64) (time.Time, error) {
+// earlier than now, and returns the delivery time and whether the
+// message was lost. Sends from a busy NIC queue behind it; sending to
+// self costs only the software overhead. A dead sender transmits
+// nothing (no billing); a live sender is billed whether or not the
+// message arrives — the sender cannot know the far end is gone, which
+// is exactly why callers pair Send with an RPC deadline. The message is
+// lost when the sender's link is down at transmission start, the
+// receiver's link is down at delivery, or the receiver is dead at
+// delivery. With no fault plan applied no message is lost.
+func (n *Network) Send(now time.Time, src, dst int, size int64) (done time.Time, lost bool, err error) {
 	if src < 0 || src >= len(n.nicBusy) || dst < 0 || dst >= len(n.nicBusy) {
-		return now, fmt.Errorf("netsim: send %d->%d outside 0..%d", src, dst, len(n.nicBusy)-1)
+		return now, false, fmt.Errorf("netsim: send %d->%d outside 0..%d", src, dst, len(n.nicBusy)-1)
 	}
 	if size < 0 {
-		return now, fmt.Errorf("netsim: negative message size %d", size)
+		return now, false, fmt.Errorf("netsim: negative message size %d", size)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -140,7 +145,10 @@ func (n *Network) Send(now time.Time, src, dst int, size int64) (time.Time, erro
 	if n.nicBusy[src].After(start) {
 		start = n.nicBusy[src]
 	}
-	var done time.Time
+	if n.nodeDeadLocked(start, src) {
+		n.stats.Dropped++
+		return time.Time{}, true, nil
+	}
 	if src == dst {
 		done = start.Add(n.params.PerMessageCPU)
 	} else {
@@ -150,120 +158,10 @@ func (n *Network) Send(now time.Time, src, dst int, size int64) (time.Time, erro
 	n.stats.Messages++
 	n.stats.Bytes += size
 	n.stats.BusyTime += done.Sub(start)
-	return done, nil
-}
-
-// log2ceil returns ⌈log₂ p⌉ (0 for p ≤ 1).
-func log2ceil(p int) int {
-	if p <= 1 {
-		return 0
+	if src != dst &&
+		(n.linkDownLocked(start, src) || n.linkDownLocked(done, dst) || n.nodeDeadLocked(done, dst)) {
+		n.stats.Dropped++
+		return done, true, nil
 	}
-	return bits.Len(uint(p - 1))
-}
-
-// Barrier synchronizes all nodes starting at now using a dissemination
-// barrier: ⌈log₂ P⌉ rounds of zero-payload messages. It returns the time
-// every node has left the barrier.
-func (n *Network) Barrier(now time.Time) time.Time {
-	n.mu.Lock()
-	rounds := log2ceil(len(n.nicBusy))
-	cost := time.Duration(rounds) * n.params.MessageCost(0)
-	// A barrier cannot complete before every NIC has drained.
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(cost)
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds * len(n.nicBusy))
-	n.mu.Unlock()
-	return done
-}
-
-// Broadcast sends size bytes from root to every other node via a binomial
-// tree: ⌈log₂ P⌉ rounds, each a full message cost. It returns the time
-// the last node holds the data.
-func (n *Network) Broadcast(now time.Time, root int, size int64) (time.Time, error) {
-	if root < 0 || root >= len(n.nicBusy) {
-		return now, fmt.Errorf("netsim: broadcast root %d outside 0..%d", root, len(n.nicBusy)-1)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rounds := log2ceil(len(n.nicBusy))
-	start := now
-	if n.nicBusy[root].After(start) {
-		start = n.nicBusy[root]
-	}
-	done := start.Add(time.Duration(rounds) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds)
-	n.stats.Bytes += size * int64(rounds)
-	return done, nil
-}
-
-// AllReduce combines size bytes across all nodes (recursive doubling:
-// ⌈log₂ P⌉ rounds of size-byte exchanges) and returns completion time.
-func (n *Network) AllReduce(now time.Time, size int64) time.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rounds := log2ceil(len(n.nicBusy))
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(time.Duration(rounds) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds * len(n.nicBusy))
-	n.stats.Bytes += size * int64(rounds*len(n.nicBusy))
-	return done
-}
-
-// Exchange models a nearest-neighbour halo exchange: every node sends
-// size bytes to each of `neighbours` peers concurrently (NICs serialize
-// each node's own sends). It returns the completion time.
-func (n *Network) Exchange(now time.Time, size int64, neighbours int) time.Time {
-	if neighbours < 0 {
-		neighbours = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(time.Duration(neighbours) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(neighbours * len(n.nicBusy))
-	n.stats.Bytes += size * int64(neighbours*len(n.nicBusy))
-	return done
-}
-
-// Reset clears busy horizons, statistics, and any applied fault plan.
-func (n *Network) Reset() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i := range n.nicBusy {
-		n.nicBusy[i] = time.Time{}
-	}
-	n.stats = Stats{}
-	n.epoch = time.Time{}
-	n.flt = nil
+	return done, false, nil
 }

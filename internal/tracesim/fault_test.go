@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fsim"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -60,5 +61,32 @@ func TestReplayCleanWithInjectorDisabled(t *testing.T) {
 	rp.SampleFileSize = p.FileSize
 	if _, err := rp.Replay("Titan", tr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentReplaysPositionImplicitOpenFault: a lane whose first
+// record is a read opens the sample file implicitly. When that open
+// fails, ReplayConcurrent and ReplayStream both name the lane's PID and
+// record, as they do for every other lane failure.
+func TestConcurrentReplaysPositionImplicitOpenFault(t *testing.T) {
+	tr := &trace.Trace{
+		Header:  trace.Header{NumProcesses: 1, NumFiles: 1, NumRecords: 1, SampleFile: "sample.dat"},
+		Records: []trace.Record{{Op: trace.OpRead, PID: 3, Count: 1, Length: 4096}},
+	}
+	replayer := func() *Replayer {
+		cfg := fsim.DefaultConfig()
+		cfg.Inject = fsim.InjectSpec{Rate: 1, Permanent: 1, Ops: fsim.MaskOf(fsim.OpOpen)}
+		store := fsim.MustNewFileStore(cfg)
+		t.Cleanup(func() { store.Close() })
+		rp := NewReplayer(store)
+		rp.SampleFileSize = 1 << 20
+		return rp
+	}
+	const want = "tracesim: pid 3 record 0 (read): fsim: permanent injected fault on open"
+	if _, err := replayer().ReplayConcurrent("open", tr); err == nil || err.Error() != want {
+		t.Errorf("ReplayConcurrent err = %v, want %q", err, want)
+	}
+	if _, err := replayer().ReplayStream("open", streamScanner(t, tr, encodeV2)); err == nil || err.Error() != want {
+		t.Errorf("ReplayStream err = %v, want %q", err, want)
 	}
 }

@@ -2,11 +2,14 @@ package tracesim
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/fsim"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -16,6 +19,46 @@ import (
 type laneStore interface {
 	NewSession() *fsim.Session
 	Settle() (time.Time, time.Duration)
+}
+
+// laneSet is what a concurrent replay holds across its lanes: the
+// store's session capability, one session per lane when it has one, and
+// the store's recovery tally taken before the first lane ran.
+type laneSet struct {
+	store     fsim.Store
+	ls        laneStore // nil on stores without sessions
+	sessions  []*fsim.Session
+	rec       recoveryStore // nil on stores without recovery accounting
+	recBefore fsim.RecoveryStats
+}
+
+func newLaneSet(store fsim.Store) *laneSet {
+	l := &laneSet{store: store}
+	l.ls, _ = store.(laneStore)
+	if l.rec, _ = store.(recoveryStore); l.rec != nil {
+		l.recBefore = l.rec.RecoveryStats()
+	}
+	return l
+}
+
+// add opens one lane and returns the store it replays against: a new
+// session on a session-capable store, the shared store otherwise.
+func (l *laneSet) add() fsim.Store {
+	if l.ls == nil {
+		return l.store
+	}
+	sess := l.ls.NewSession()
+	l.sessions = append(l.sessions, sess)
+	return sess
+}
+
+// release retires every lane's session; the lanes' final times fold
+// into the timeline, so repeated replays on one store do not accumulate
+// dead lanes.
+func (l *laneSet) release() {
+	for _, sess := range l.sessions {
+		sess.Release()
+	}
 }
 
 // ReplayConcurrent replays a multi-process trace with one goroutine per
@@ -44,59 +87,34 @@ func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, 
 		rec := &tr.Records[i]
 		byPID[rec.PID] = append(byPID[rec.PID], rec)
 	}
-	pids := make([]uint32, 0, len(byPID))
-	for pid := range byPID {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	pids := slices.Sorted(maps.Keys(byPID))
 
-	ls, hasLanes := rp.store.(laneStore)
-	var recBefore fsim.RecoveryStats
-	recStore, hasRecovery := rp.store.(recoveryStore)
-	if hasRecovery {
-		recBefore = recStore.RecoveryStats()
-	}
-
-	// Each worker replays its own records into a private report; reports
-	// merge afterwards, so no lock sits on the replay hot path.
-	reports := make([]*Report, len(pids))
-	errs := make([]error, len(pids))
-	sessions := make([]*fsim.Session, 0, len(pids))
-	if hasLanes {
-		// Register every worker's lane before any worker runs. Creating
-		// sessions inside the spawn loop races against the workers it has
-		// already started: a shared disk queue dispatches a sole
-		// registered lane inline and advances its queue edge, so under
-		// heavy host load an early worker could run ahead before later
-		// lanes joined — and a late lane floors at the advanced edge,
-		// shifting its timings. Pre-registering the full lane set makes
-		// the merge a pure function of the trace again.
-		for range pids {
-			sessions = append(sessions, ls.NewSession())
-		}
-	}
-	releaseAll := func() {
-		for _, sess := range sessions {
-			sess.Release()
-		}
+	// Register every worker's lane before any worker runs. Creating
+	// sessions inside the spawn loop races against the workers it has
+	// already started: a shared disk queue dispatches a sole registered
+	// lane inline and advances its queue edge, so under heavy host load
+	// an early worker could run ahead before later lanes joined — and a
+	// late lane floors at the advanced edge, shifting its timings.
+	// Pre-registering the full lane set keeps the merge a pure function
+	// of the trace.
+	l := newLaneSet(rp.store)
+	stores := make([]fsim.Store, len(pids))
+	for i := range pids {
+		stores[i] = l.add()
 	}
 
 	// Requested member rebuilds join before the workers too, for the
 	// same reason: their lanes must be part of the merge from the start.
-	members := append([]int(nil), rp.RebuildMembers...)
-	if rp.RebuildMember >= 0 {
-		members = append(members, rp.RebuildMember)
-	}
 	var rb *fsim.RebuildSet
-	if len(members) > 0 {
+	if len(rp.RebuildMembers) > 0 {
 		rs, ok := rp.store.(rebuildStore)
 		if !ok {
-			releaseAll()
+			l.release()
 			return nil, fmt.Errorf("tracesim: store %T cannot rebuild a member", rp.store)
 		}
 		var err error
-		if rb, err = rs.BeginRebuilds(members); err != nil {
-			releaseAll()
+		if rb, err = rs.BeginRebuilds(rp.RebuildMembers); err != nil {
+			l.release()
 			return nil, fmt.Errorf("tracesim: starting rebuild: %w", err)
 		}
 	}
@@ -112,21 +130,16 @@ func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, 
 			rb.Run()
 		}()
 	}
+	reports := make([]*Report, len(pids))
+	errs := make([]error, len(pids))
 	for i, pid := range pids {
-		st := rp.store
-		if hasLanes {
-			st = sessions[i]
-		}
+		recs := byPID[pid]
+		reports[i] = &Report{Requests: make([]RequestTiming, 0, dataOps(recs))}
 		wg.Add(1)
-		go func(i int, st fsim.Store, recs []*trace.Record) {
+		go func() {
 			defer wg.Done()
-			reports[i], errs[i] = rp.replayRecords(st, appName, tr.Header.SampleFile, recs)
-			if sess, ok := st.(*fsim.Session); ok {
-				// Out of records forever: park the lane so a shared disk
-				// queue stops waiting for this worker (no-op otherwise).
-				sess.Idle()
-			}
-		}(i, st, byPID[pid])
+			errs[i] = rp.replayLane(stores[i], reports[i], tr.Header.SampleFile, pid, slices.Values(recs))
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -134,86 +147,45 @@ func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, 
 			if rb != nil {
 				rb.Finish()
 			}
-			releaseAll()
+			l.release()
 			return nil, err
 		}
 	}
-
-	merged := &Report{App: appName}
-	total := 0
-	for _, r := range reports {
-		total += len(r.Requests)
-	}
-	merged.Requests = make([]RequestTiming, 0, total)
-	var longest time.Duration
-	for _, r := range reports {
-		merged.Open.Merge(&r.Open)
-		merged.Close.Merge(&r.Close)
-		merged.Read.Merge(&r.Read)
-		merged.Write.Merge(&r.Write)
-		merged.Seek.Merge(&r.Seek)
-		merged.Requests = append(merged.Requests, r.Requests...)
-		merged.TotalRequests += r.TotalRequests
-		merged.WorkerTime += r.Elapsed
-		if r.Elapsed > longest {
-			longest = r.Elapsed
-		}
-	}
-	if rb != nil {
-		// The copies finished with the workers (Run was waited on above);
-		// promote the spares now that the foreground has quiesced —
-		// swapping a member mid-replay would make dispatch order depend
-		// on wall-clock interleaving.
-		merged.RebuildRows = rb.Rows()
-		merged.RebuildTime = rb.Elapsed()
-		if err := rb.Finish(); err != nil {
-			releaseAll()
-			return nil, fmt.Errorf("tracesim: finishing rebuild: %w", err)
-		}
-		merged.RebuildMembers = rb.Members()
-	}
-	if hasLanes {
-		// Overlap rule: the parallel machine finishes with its slowest
-		// worker, then settles buffered writes (a deterministic elevator
-		// sweep, or the background flushers when write-back is on).
-		_, settle := ls.Settle()
-		merged.Elapsed = longest + settle
-		// The lanes' final times are folded into the timeline by Release,
-		// so repeated replays on one store do not accumulate dead lanes.
-		releaseAll()
-	} else {
-		merged.Elapsed = merged.WorkerTime
-	}
-	if hasRecovery {
-		merged.Recovery = recStore.RecoveryStats().Sub(recBefore)
-	}
-	// Re-index the merged request rows.
-	for i := range merged.Requests {
-		merged.Requests[i].Index = i + 1
-	}
-	return merged, nil
+	return l.merge(appName, reports, 0, rb)
 }
 
-// replayRecords executes one process's record sequence against st (the
-// worker's session, or the shared store). A worker whose first data
-// operation precedes its own open record inherits an implicit open, as
-// the shared-handle traces of the paper do.
-func (rp *Replayer) replayRecords(st fsim.Store, appName, sample string, recs []*trace.Record) (*Report, error) {
-	rep := &Report{App: appName, Requests: make([]RequestTiming, 0, dataOps(recs))}
+// replayLane is the lane worker of both concurrent replays: it
+// executes one process's records, in order, against st (the lane's
+// session, or the shared store) into rep, and stops at the first error,
+// positioned by PID and the lane's record index. A lane whose first
+// data operation precedes its own open record inherits an implicit
+// open, as the shared-handle traces of the paper do.
+func (rp *Replayer) replayLane(st fsim.Store, rep *Report, sample string, pid uint32, recs iter.Seq[*trace.Record]) error {
 	var f fsim.File
 	var buf []byte
 	defer func() {
 		if f != nil {
 			f.Close()
 		}
+		if sess, ok := st.(*fsim.Session); ok {
+			// Out of records forever: park the lane so a shared disk
+			// queue stops waiting for this worker (no-op otherwise).
+			sess.Idle()
+		}
 	}()
-	for i, rec := range recs {
+	i := 0
+	for rec := range recs {
+		// Trace.Validate and the v2 scanner check records; v1 records
+		// stream in raw, so guard the fields replay depends on.
+		if !rec.Op.Valid() || rec.Count == 0 {
+			return fmt.Errorf("tracesim: pid %d record %d: invalid record (op %d, count %d)", pid, i, rec.Op, rec.Count)
+		}
 		if f == nil && rec.Op != trace.OpOpen {
 			// Implicit open: multi-process traces often record one open
 			// for the group.
 			file, dur, err := st.Open(sample)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
 			}
 			f = file
 			rep.Open.AddDuration(dur)
@@ -222,10 +194,83 @@ func (rp *Replayer) replayRecords(st fsim.Store, appName, sample string, recs []
 		for c := uint32(0); c < rec.Count; c++ {
 			d, err := rp.step(st, rep, &f, &buf, rec, sample)
 			if err != nil {
-				return nil, fmt.Errorf("tracesim: pid %d record %d (%s): %w", rec.PID, i, rec.Op, err)
+				return fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
 			}
 			rep.Elapsed += d
 		}
+		i++
 	}
-	return rep, nil
+	return nil
+}
+
+// merge folds the lanes' reports, in PID order, into one report and
+// releases the lanes. Summaries merge and the request rows concatenate
+// — or, when the lanes aggregated into reservoirs (reservoir > 0), the
+// histograms merge and the reservoirs thin to one reservoir-row sample.
+// rb's rebuilds, if any, finish once the foreground has quiesced, and
+// Elapsed follows the overlap rule.
+func (l *laneSet) merge(appName string, reports []*Report, reservoir int, rb *fsim.RebuildSet) (*Report, error) {
+	defer l.release()
+	aggregate := reservoir > 0
+	merged := &Report{App: appName, SampledRequests: aggregate}
+	if aggregate {
+		merged.ReadHist = metrics.NewLatencyHistogram()
+		merged.WriteHist = metrics.NewLatencyHistogram()
+		merged.SeekHist = metrics.NewLatencyHistogram()
+	} else {
+		total := 0
+		for _, r := range reports {
+			total += len(r.Requests)
+		}
+		merged.Requests = make([]RequestTiming, 0, total)
+	}
+	var longest time.Duration
+	for _, r := range reports {
+		merged.Open.Merge(&r.Open)
+		merged.Close.Merge(&r.Close)
+		merged.Read.Merge(&r.Read)
+		merged.Write.Merge(&r.Write)
+		merged.Seek.Merge(&r.Seek)
+		merged.TotalRequests += r.TotalRequests
+		merged.WorkerTime += r.Elapsed
+		longest = max(longest, r.Elapsed)
+		if aggregate {
+			merged.ReadHist.Merge(r.ReadHist)
+			merged.WriteHist.Merge(r.WriteHist)
+			merged.SeekHist.Merge(r.SeekHist)
+		} else {
+			merged.Requests = append(merged.Requests, r.Requests...)
+		}
+	}
+	if aggregate {
+		merged.Requests = mergeReservoirs(reports, reservoir)
+	} else {
+		for i := range merged.Requests {
+			merged.Requests[i].Index = i + 1
+		}
+	}
+	if rb != nil {
+		// The copies finished with the workers (Run was waited on);
+		// promote the spares now that the foreground has quiesced —
+		// swapping a member mid-replay would make dispatch order depend
+		// on wall-clock interleaving.
+		merged.RebuildRows = rb.Rows()
+		merged.RebuildTime = rb.Elapsed()
+		if err := rb.Finish(); err != nil {
+			return nil, fmt.Errorf("tracesim: finishing rebuild: %w", err)
+		}
+		merged.RebuildMembers = rb.Members()
+	}
+	merged.Elapsed = merged.WorkerTime
+	if l.ls != nil {
+		// Overlap rule: the parallel machine finishes with its slowest
+		// worker, then settles buffered writes (a deterministic elevator
+		// sweep, or the background flushers when write-back is on).
+		_, settle := l.ls.Settle()
+		merged.Elapsed = longest + settle
+	}
+	if l.rec != nil {
+		merged.Recovery = l.rec.RecoveryStats().Sub(l.recBefore)
+	}
+	return merged, nil
 }

@@ -3,14 +3,22 @@ package tracesim
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
+
+// streamQueueDepth bounds each ReplayStream lane's record queue: the
+// backpressure on the trace reader. 1024 records (48 KiB) per lane let
+// the reader run ahead of a briefly slower lane while the queues of
+// even a hundred lanes stay within a few megabytes.
+const streamQueueDepth = 1024
 
 // streamAgg is the bounded-memory row keeper for streaming aggregation:
 // reservoir sampling (Algorithm R) over the request rows, driven by a
@@ -47,12 +55,12 @@ func (a *streamAgg) offer(rows *[]RequestTiming, rt RequestTiming) {
 }
 
 // ReplayStream replays a trace straight off a Scanner without ever
-// materializing the record slice: a reader goroutine decodes records and
-// routes them to per-PID worker queues (bounded channels — backpressure,
-// not buffering), and each worker drives its own store session exactly
-// like a ReplayConcurrent lane. Memory is bounded by the queues and the
-// per-worker reports, independent of trace length, so a billion-record
-// v2 trace replays in a few megabytes.
+// materializing the record slice: a reader decodes records and routes
+// them to per-PID lanes through bounded queues (backpressure, not
+// buffering), and each lane runs the same worker and the same merge as
+// a ReplayConcurrent lane. Memory is bounded by the queues and the
+// per-lane reports, independent of trace length, so a billion-record v2
+// trace replays in a few megabytes.
 //
 // On a session-capable store each lane is a pure function of its own
 // record sequence — private virtual clock, private disk view — so the
@@ -60,11 +68,11 @@ func (a *streamAgg) offer(rows *[]RequestTiming, rt RequestTiming) {
 // whatever the goroutine interleaving. The shared disk-queue mode is
 // refused: contending lanes rendezvous through the queue, which needs
 // every lane's future known up front (the reader could deadlock feeding
-// a worker whose dispatch gates on another still-unfed lane), and its
+// a lane whose dispatch gates on another still-unfed lane), and its
 // cross-lane ordering is the one thing streaming cannot reproduce.
 //
-// With StreamAggregate set, per-worker reports keep per-op histograms
-// plus a reservoir sample instead of the full row list (see Report); the
+// With StreamAggregate set, lane reports keep per-op histograms plus a
+// reservoir sample instead of the full row list (see Report); the
 // merged Requests are then a deterministic proportional sample.
 func (rp *Replayer) ReplayStream(appName string, sc *trace.Scanner) (*Report, error) {
 	if fs, ok := rp.store.(*fsim.FileStore); ok && fs.SharedQueue() != nil {
@@ -77,134 +85,75 @@ func (rp *Replayer) ReplayStream(appName string, sc *trace.Scanner) (*Report, er
 	if err := rp.prepareSample(h.SampleFile); err != nil {
 		return nil, fmt.Errorf("tracesim: preparing sample file: %w", err)
 	}
-	ls, hasLanes := rp.store.(laneStore)
-	var recBefore fsim.RecoveryStats
-	recStore, hasRecovery := rp.store.(recoveryStore)
-	if hasRecovery {
-		recBefore = recStore.RecoveryStats()
-	}
-	depth := rp.StreamQueueDepth
-	if depth <= 0 {
-		depth = 1024
+	reservoir := 0
+	if rp.StreamAggregate {
+		reservoir = rp.reservoirCap()
 	}
 
-	type worker struct {
-		ch   chan trace.Record
-		sess *fsim.Session
-		rep  *Report
-		err  error
+	type lane struct {
+		ch  chan trace.Record
+		rep *Report
+		err error
 	}
-	workers := make(map[uint32]*worker)
+	l := newLaneSet(rp.store)
+	lanes := make(map[uint32]*lane)
 	var wg sync.WaitGroup
-	spawn := func(pid uint32) *worker {
-		w := &worker{ch: make(chan trace.Record, depth)}
-		st := rp.store
-		if hasLanes {
-			w.sess = ls.NewSession()
-			st = w.sess
-		}
-		workers[pid] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.rep, w.err = rp.replayChannel(st, appName, h.SampleFile, pid, w.ch)
-			if w.sess != nil {
-				// Out of records forever: park the lane (no-op in the
-				// private-lane modes this path allows, but kept symmetric
-				// with ReplayConcurrent).
-				w.sess.Idle()
-			}
-		}()
-		return w
-	}
-
 	for sc.Next() {
 		rec := sc.Record()
-		w := workers[rec.PID]
-		if w == nil {
-			w = spawn(rec.PID)
+		ln := lanes[rec.PID]
+		if ln == nil {
+			ln = &lane{ch: make(chan trace.Record, streamQueueDepth), rep: &Report{}}
+			if reservoir > 0 {
+				ln.rep.agg = newStreamAgg(reservoir, rec.PID)
+				ln.rep.ReadHist = metrics.NewLatencyHistogram()
+				ln.rep.WriteHist = metrics.NewLatencyHistogram()
+				ln.rep.SeekHist = metrics.NewLatencyHistogram()
+			}
+			lanes[rec.PID] = ln
+			st := l.add()
+			wg.Add(1)
+			go func(pid uint32) {
+				defer wg.Done()
+				ln.err = rp.replayLane(st, ln.rep, h.SampleFile, pid, queued(ln.ch))
+				// A failed lane stops reading: drain its queue so the
+				// reader never blocks on it.
+				for range ln.ch {
+				}
+			}(rec.PID)
 		}
-		w.ch <- *rec
+		ln.ch <- *rec
 	}
-	for _, w := range workers {
-		close(w.ch)
+	for _, ln := range lanes {
+		close(ln.ch)
 	}
 	wg.Wait()
 
-	release := func() {
-		for _, w := range workers {
-			if w.sess != nil {
-				w.sess.Release()
+	if err := sc.Err(); err != nil {
+		l.release()
+		return nil, err
+	}
+	pids := slices.Sorted(maps.Keys(lanes))
+	reports := make([]*Report, len(pids))
+	for i, pid := range pids {
+		if err := lanes[pid].err; err != nil {
+			l.release()
+			return nil, err
+		}
+		reports[i] = lanes[pid].rep
+	}
+	return l.merge(appName, reports, reservoir, nil)
+}
+
+// queued yields a lane's records from its queue until the queue closes.
+func queued(ch <-chan trace.Record) iter.Seq[*trace.Record] {
+	return func(yield func(*trace.Record) bool) {
+		var rec trace.Record
+		for rec = range ch {
+			if !yield(&rec) {
+				return
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		release()
-		return nil, err
-	}
-	pids := make([]uint32, 0, len(workers))
-	for pid := range workers {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		if err := workers[pid].err; err != nil {
-			release()
-			return nil, err
-		}
-	}
-
-	// Merge in sorted-PID order — the same order ReplayConcurrent merges
-	// its partitions, so the reports agree row for row.
-	merged := &Report{App: appName}
-	if rp.StreamAggregate {
-		merged.SampledRequests = true
-		merged.ReadHist = metrics.NewLatencyHistogram()
-		merged.WriteHist = metrics.NewLatencyHistogram()
-		merged.SeekHist = metrics.NewLatencyHistogram()
-	}
-	var longest time.Duration
-	for _, pid := range pids {
-		r := workers[pid].rep
-		merged.Open.Merge(&r.Open)
-		merged.Close.Merge(&r.Close)
-		merged.Read.Merge(&r.Read)
-		merged.Write.Merge(&r.Write)
-		merged.Seek.Merge(&r.Seek)
-		merged.TotalRequests += r.TotalRequests
-		merged.WorkerTime += r.Elapsed
-		if r.Elapsed > longest {
-			longest = r.Elapsed
-		}
-		if rp.StreamAggregate {
-			merged.ReadHist.Merge(r.ReadHist)
-			merged.WriteHist.Merge(r.WriteHist)
-			merged.SeekHist.Merge(r.SeekHist)
-		} else {
-			merged.Requests = append(merged.Requests, r.Requests...)
-		}
-	}
-	if rp.StreamAggregate {
-		merged.Requests = mergeReservoirs(pids, func(pid uint32) []RequestTiming {
-			return workers[pid].rep.Requests
-		}, rp.reservoirCap())
-	}
-	if hasLanes {
-		_, settle := ls.Settle()
-		merged.Elapsed = longest + settle
-		release()
-	} else {
-		merged.Elapsed = merged.WorkerTime
-	}
-	if hasRecovery {
-		merged.Recovery = recStore.RecoveryStats().Sub(recBefore)
-	}
-	if !merged.SampledRequests {
-		for i := range merged.Requests {
-			merged.Requests[i].Index = i + 1
-		}
-	}
-	return merged, nil
 }
 
 func (rp *Replayer) reservoirCap() int {
@@ -214,31 +163,31 @@ func (rp *Replayer) reservoirCap() int {
 	return 4096
 }
 
-// mergeReservoirs thins per-worker reservoirs to one capN-row sample,
-// allocating slots proportionally to each worker's row count (largest
-// remainder, ties to the lower PID) and taking a uniform stride through
-// each reservoir — deterministic, no RNG at merge time.
-func mergeReservoirs(pids []uint32, rows func(uint32) []RequestTiming, capN int) []RequestTiming {
+// mergeReservoirs thins per-lane reservoirs, in PID order, to one
+// capN-row sample, allocating slots proportionally to each lane's row
+// count (largest remainder, ties to the lower PID) and taking a uniform
+// stride through each reservoir — deterministic, no RNG at merge time.
+func mergeReservoirs(reports []*Report, capN int) []RequestTiming {
 	total := 0
-	for _, pid := range pids {
-		total += len(rows(pid))
+	for _, r := range reports {
+		total += len(r.Requests)
 	}
 	if total <= capN {
 		out := make([]RequestTiming, 0, total)
-		for _, pid := range pids {
-			out = append(out, rows(pid)...)
+		for _, r := range reports {
+			out = append(out, r.Requests...)
 		}
 		return out
 	}
-	quota := make([]int, len(pids))
+	quota := make([]int, len(reports))
 	assigned := 0
 	type frac struct {
 		i   int
 		rem int
 	}
-	fracs := make([]frac, len(pids))
-	for i, pid := range pids {
-		n := len(rows(pid)) * capN
+	fracs := make([]frac, len(reports))
+	for i, r := range reports {
+		n := len(r.Requests) * capN
 		quota[i] = n / total
 		fracs[i] = frac{i: i, rem: n % total}
 		assigned += quota[i]
@@ -249,74 +198,12 @@ func mergeReservoirs(pids []uint32, rows func(uint32) []RequestTiming, capN int)
 		assigned++
 	}
 	out := make([]RequestTiming, 0, capN)
-	for i, pid := range pids {
-		rs := rows(pid)
-		n := quota[i]
-		if n > len(rs) {
-			n = len(rs)
-		}
+	for i, r := range reports {
+		rs := r.Requests
+		n := min(quota[i], len(rs))
 		for k := 0; k < n; k++ {
 			out = append(out, rs[k*len(rs)/n])
 		}
 	}
 	return out
-}
-
-// replayChannel is replayRecords fed from a queue: one worker's record
-// stream executed against st. On error the worker keeps draining the
-// channel (discarding records) so the trace reader never blocks on a
-// dead lane.
-func (rp *Replayer) replayChannel(st fsim.Store, appName, sample string, pid uint32, ch <-chan trace.Record) (*Report, error) {
-	rep := &Report{App: appName}
-	if rp.StreamAggregate {
-		rep.SampledRequests = true
-		rep.agg = newStreamAgg(rp.reservoirCap(), pid)
-		rep.ReadHist = metrics.NewLatencyHistogram()
-		rep.WriteHist = metrics.NewLatencyHistogram()
-		rep.SeekHist = metrics.NewLatencyHistogram()
-	}
-	var f fsim.File
-	var buf []byte
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var firstErr error
-	i := 0
-	for rec := range ch {
-		if firstErr != nil {
-			continue
-		}
-		// The scanner validates v2 structurally; v1 records arrive raw, so
-		// guard the fields replay depends on.
-		if !rec.Op.Valid() || rec.Count == 0 {
-			firstErr = fmt.Errorf("tracesim: pid %d record %d: invalid record (op %d, count %d)", pid, i, rec.Op, rec.Count)
-			continue
-		}
-		if f == nil && rec.Op != trace.OpOpen {
-			// Implicit open, as in replayRecords.
-			file, dur, err := st.Open(sample)
-			if err != nil {
-				firstErr = fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
-				continue
-			}
-			f = file
-			rep.Open.AddDuration(dur)
-			rep.Elapsed += dur
-		}
-		for c := uint32(0); c < rec.Count; c++ {
-			d, err := rp.step(st, rep, &f, &buf, &rec, sample)
-			if err != nil {
-				firstErr = fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
-				break
-			}
-			rep.Elapsed += d
-		}
-		i++
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return rep, nil
 }

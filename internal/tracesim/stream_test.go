@@ -3,6 +3,7 @@ package tracesim
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fsim"
@@ -178,20 +179,28 @@ func TestReplayStreamRejectsSharedQueue(t *testing.T) {
 	}
 }
 
-// TestReplayStreamBadRecord checks that a worker error mid-stream drains
-// the remaining records (the reader must not deadlock) and surfaces the
-// failure.
+// TestReplayStreamBadRecord checks that a lane error mid-stream drains
+// the lane's remaining records (the reader must not deadlock) and
+// surfaces the failure.
 func TestReplayStreamBadRecord(t *testing.T) {
 	tr := determinismTrace(t)
+	mid := len(tr.Records) / 2
+	good := tr.Records[mid]
 	// v1 encoding does not validate, so an invalid op can ride the wire.
-	tr.Records[len(tr.Records)/2].Op = trace.Op(7)
+	tr.Records[mid].Op = trace.Op(7)
+	// More than a queue's worth of the failed lane's records follow the
+	// bad one, so the reader blocks for good unless that queue drains.
+	for range streamQueueDepth + 1 {
+		tr.Records = append(tr.Records, good)
+	}
+	tr.Header.NumRecords = uint32(len(tr.Records))
 	store := fsim.MustNewFileStore(determinismConfig())
 	defer store.Close()
 	rp := NewReplayer(store)
 	rp.SampleFileSize = 32 << 20
-	rp.StreamQueueDepth = 4 // tiny queue: the drain path must run
-	if _, err := rp.ReplayStream("Parallel", streamScanner(t, tr, encodeV1)); err == nil {
-		t.Fatal("invalid record replayed without error")
+	_, err := rp.ReplayStream("Parallel", streamScanner(t, tr, encodeV1))
+	if err == nil || !strings.Contains(err.Error(), "invalid record") {
+		t.Fatalf("invalid record replayed, err = %v", err)
 	}
 }
 

@@ -88,10 +88,10 @@ type Report struct {
 	// when the store exposes them; zero on fault-free runs.
 	Recovery fsim.RecoveryStats
 	// RebuildTime is the simulated duration of the slowest concurrent
-	// member rebuild run alongside the replay (Replayer.RebuildMember /
-	// RebuildMembers; zero when none was requested); RebuildRows is how
-	// many blocks the rebuilds reconstructed in total, and
-	// RebuildMembers carries the per-member outcome.
+	// member rebuild run alongside the replay (Replayer.RebuildMembers;
+	// zero when none was requested); RebuildRows is how many blocks the
+	// rebuilds reconstructed in total, and RebuildMembers carries the
+	// per-member outcome.
 	RebuildTime    time.Duration
 	RebuildRows    int64
 	RebuildMembers []fsim.RebuildMemberResult
@@ -155,9 +155,6 @@ type Replayer struct {
 	// report's ThinkTime and included in Elapsed). Unpaced replay (the
 	// default, and the paper's method) issues records back to back.
 	Paced bool
-	// StreamQueueDepth bounds each ReplayStream worker's record queue
-	// (backpressure on the trace reader). Defaults to 1024 records.
-	StreamQueueDepth int
 	// StreamAggregate switches ReplayStream's report to bounded-memory
 	// aggregation: per-op latency histograms plus a reservoir sample of
 	// StreamReservoir request rows instead of the full Requests slice.
@@ -165,22 +162,19 @@ type Replayer struct {
 	// StreamReservoir is the per-worker reservoir capacity when
 	// StreamAggregate is on. Defaults to 4096 rows.
 	StreamReservoir int
-	// RebuildMember, when >= 0 on a rebuild-capable store, runs that
-	// member's reconstruction concurrently with ReplayConcurrent's
-	// workers: the rebuild reads contend with foreground traffic (through
-	// the shared disk queue when one is configured) and the spare is
-	// promoted once the replay quiesces. The report's RebuildTime and
-	// RebuildRows record the copy. -1 (the NewReplayer default) disables.
-	RebuildMember int
-	// RebuildMembers lists additional members to rebuild concurrently
-	// (joined with RebuildMember when both are set) — the hot-spare-pool
-	// story, typically paired with fsim.Config.Spares.
+	// RebuildMembers, on a rebuild-capable store, lists members whose
+	// reconstruction runs concurrently with ReplayConcurrent's workers:
+	// the rebuild reads contend with foreground traffic (through the
+	// shared disk queue when one is configured) and the spares are
+	// promoted once the replay quiesces — the hot-spare-pool story,
+	// typically paired with fsim.Config.Spares. The report's
+	// RebuildTime, RebuildRows and RebuildMembers record the copies.
 	RebuildMembers []int
 }
 
 // NewReplayer builds a replayer over store.
 func NewReplayer(store fsim.Store) *Replayer {
-	return &Replayer{store: store, SampleFileSize: 1 << 30, RebuildMember: -1}
+	return &Replayer{store: store, SampleFileSize: 1 << 30}
 }
 
 // errNotOpen is returned when a trace issues data operations before open.

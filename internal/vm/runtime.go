@@ -18,7 +18,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -216,33 +215,11 @@ func (r *Runtime) Method(name string) *Method {
 	return r.methods[name]
 }
 
-// MethodNames returns the sorted names of all known methods.
-func (r *Runtime) MethodNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.methods))
-	for name := range r.methods {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats returns a snapshot of the runtime counters.
 func (r *Runtime) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// ResetJIT discards all compiled code, returning the runtime to a cold
-// state — the equivalent of restarting the process before a measurement.
-func (r *Runtime) ResetJIT() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.methods {
-		m.jitted = false
-	}
 }
 
 // Well-known managed method names with IL sizes approximating the SSCLI

@@ -99,18 +99,6 @@ func TestJITCostScalesWithILSize(t *testing.T) {
 	}
 }
 
-func TestResetJITRestoresColdState(t *testing.T) {
-	r := newRuntime(t)
-	r.Register("M", 500)
-	cold1 := r.Invoke("M")
-	r.Invoke("M")
-	r.ResetJIT()
-	cold2 := r.Invoke("M")
-	if cold1 != cold2 {
-		t.Fatalf("post-reset invoke %v != original cold invoke %v", cold2, cold1)
-	}
-}
-
 func TestInvokeAdvancesClock(t *testing.T) {
 	clk := clock.NewVirtualClock(time.Unix(0, 0))
 	r := MustNew(DefaultConfig(), clk)
@@ -166,13 +154,16 @@ func TestAllocateNonPositive(t *testing.T) {
 func TestRegisterBCL(t *testing.T) {
 	r := newRuntime(t)
 	r.RegisterBCL()
-	names := r.MethodNames()
-	if len(names) < 10 {
-		t.Fatalf("RegisterBCL registered %d methods", len(names))
-	}
-	m := r.Method(MethodFileStreamCtor)
-	if m == nil || m.ILSize == 0 {
-		t.Fatal("FileStream ctor not registered with a size")
+	for _, name := range []string{
+		MethodFileStreamCtor, MethodFileStreamRead, MethodFileStreamWrite,
+		MethodFileStreamSeek, MethodFileStreamClose, MethodStreamWriterCtor,
+		MethodStreamWriterWrite, MethodTcpListenerStart, MethodAcceptSocket,
+		MethodNetworkStreamRead, MethodNetworkStreamWrite, MethodThreadStart,
+		MethodStringParse,
+	} {
+		if m := r.Method(name); m == nil || m.ILSize == 0 || m.Jitted() {
+			t.Errorf("%s: registered as %+v, want a cold method with an IL size", name, m)
+		}
 	}
 }
 

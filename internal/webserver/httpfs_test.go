@@ -87,6 +87,8 @@ func TestHTTPFSServesCatalog(t *testing.T) {
 		t.Fatalf("index = %d, listing contains %q = %v", resp.StatusCode, spec.Name, strings.Contains(string(index), spec.Name))
 	}
 
+	// Handlers record after the body is sent; Close waits for them.
+	ts.Close()
 	recs := h.Records()
 	if len(recs) != 4 {
 		t.Fatalf("%d records, want 4", len(recs))
@@ -162,6 +164,9 @@ func TestHTTPFSConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A handler records its request after the body is sent, so a client
+	// can finish first; Close waits for every handler to return.
+	ts.Close()
 	if got := len(h.Records()); got != clients*perClient {
 		t.Fatalf("%d records, want %d", got, clients*perClient)
 	}
