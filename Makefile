@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke loc fmt vet fmt-check ci
+.PHONY: all build test perfbench-test race bench bench-cold profile bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke loc fmt vet fmt-check ci
 
 all: build
 
@@ -41,8 +41,20 @@ bench:
 # even if that pattern is ever narrowed, and as the one-command repro
 # for cold-path harness breakage.
 bench-cold:
-	$(GO) test -run '^$$' -bench 'BenchmarkCacheMissEvict' -benchtime=1x ./internal/buffercache
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheMissEvict|BenchmarkCacheShardedLookup' -benchtime=1x ./internal/buffercache
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/simdisk
+
+# CPU profiles of the two engine hot loops: the out-of-core replay
+# (BenchmarkReplayStream) and the warm-hit shard sweep
+# (BenchmarkCacheShardScalingReadHit). Test binaries and profiles land
+# in .bench_build/ (gitignored); each profile's top 15 functions print.
+PROFILE_DIR := $(CURDIR)/.bench_build
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayStream' -o $(PROFILE_DIR)/tracesim.test -cpuprofile $(PROFILE_DIR)/replay_stream.pprof ./internal/tracesim
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/tracesim.test $(PROFILE_DIR)/replay_stream.pprof
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheShardScalingReadHit' -o $(PROFILE_DIR)/buffercache.test -cpuprofile $(PROFILE_DIR)/shard_read_hit.pprof ./internal/buffercache
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/buffercache.test $(PROFILE_DIR)/shard_read_hit.pprof
 
 # Contention smoke: the partitioned replay through the shared disk
 # queue at 1, 4, and 8 lanes. One lane must serve inline (the private

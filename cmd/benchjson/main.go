@@ -91,7 +91,7 @@ import (
 type hotPathRow struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	// BaselineNsPerOp is the same row's value from the -baseline report
 	// (the committed previous trajectory), when it had one: the "before"
 	// of a before/after pair.
@@ -247,7 +247,7 @@ func hotPathBenches() []hotPathRow {
 		return f, buf
 	}
 	row := func(name string, r testing.BenchmarkResult) hotPathRow {
-		return hotPathRow{Name: name, NsPerOp: float64(r.T.Nanoseconds()) / float64(r.N), AllocsPerOp: r.AllocsPerOp()}
+		return hotPathRow{Name: name, NsPerOp: float64(r.T.Nanoseconds()) / float64(r.N), AllocsPerOp: float64(r.AllocsPerOp())}
 	}
 	var rows []hotPathRow
 
@@ -438,13 +438,17 @@ func hotPathBenches() []hotPathRow {
 			}
 		}
 	})
-	rows = append(rows, hotPathRow{
-		Name:        "replay_stream",
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N) / float64(records),
-		AllocsPerOp: res.AllocsPerOp() / records,
-	})
+	rows = append(rows, perRecordRow("replay_stream", res, records))
 	sstore.Close()
 	return rows
+}
+
+// perRecordRow normalizes a benchmark whose every op replays records
+// trace records to per-record ns and allocs. The allocs stay fractional:
+// a replay allocates far fewer objects than it has records.
+func perRecordRow(name string, r testing.BenchmarkResult, records int64) hotPathRow {
+	ops := float64(r.N) * float64(records)
+	return hotPathRow{Name: name, NsPerOp: float64(r.T.Nanoseconds()) / ops, AllocsPerOp: float64(r.MemAllocs) / ops}
 }
 
 // traceFormatRows measures the encoded bytes/record of both trace

@@ -119,3 +119,21 @@ func BenchmarkCacheShardScalingMixed(b *testing.B) {
 		})
 	}
 }
+
+var residentSink bool
+
+// BenchmarkCacheShardedLookup probes every page of an 8-stripe cache
+// that holds 3/4 of its budget, resident and absent alike: the
+// page-table lookup on its own. Home slots that aliased the stripe hash
+// would make each probe walk one long cluster per shard.
+func BenchmarkCacheShardedLookup(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.NumPages = 16384
+	cfg.Shards = 8
+	c := benchCache(b, cfg)
+	c.Read(time.Unix(0, 0), 0, int64(cfg.NumPages*3/4)*cfg.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		residentSink = c.Resident(int64(i%cfg.NumPages) * cfg.PageSize)
+	}
+}

@@ -423,7 +423,7 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 		c.shards[i] = &shard{
 			free: make([]*frame, 0, poolRefillBatch),
 		}
-		c.shards[i].table.init(cfg.NumPages/nShards + 1)
+		c.shards[i].table.init(cfg.NumPages/nShards+1, shift)
 	}
 	c.defIO = c.NewIO(backend)
 	c.wbBackend = backend

@@ -8,7 +8,11 @@
 // allocation-free design real kernels use for buffer lookup structures:
 //
 //   - power-of-two slot array sized from the shard's share of the frame
-//     budget, probed linearly from a fibonacci-hashed home slot;
+//     budget, probed linearly from a fibonacci-hashed home slot. The
+//     cache picks a page's stripe from the top bits of the same hash, so
+//     every page of one shard shares those bits; the home slot takes the
+//     bits just below them, or a shard of an 8-stripe cache could only
+//     ever home into 1/8 of its slots and probe through one long cluster;
 //   - deletion by backshift (Knuth's algorithm R): the probe chain is
 //     compacted in place, so there are no tombstones and lookups never
 //     degrade under install/evict churn;
@@ -30,28 +34,31 @@ package buffercache
 // use — it lives under its shard's mutex.
 type pageTable struct {
 	slots []*frame
-	shift uint // home slot = hash >> shift; len(slots) == 1<<(64-shift)
+	skip  uint // the stripe bits: the cache's shardShift
+	shift uint // home slot = (hash << skip) >> shift; len(slots) == 1<<(64-shift)
 	used  int
 }
 
-// pageTableFor sizes a table for a shard expected to hold about budget
-// frames: the smallest power of two keeping the load factor at or below
-// one half at that occupancy (minimum 16 slots). Capacity migrates
-// between shards under pressure, so the table grows by rehash if this
-// shard outruns its share.
-func (t *pageTable) init(budget int) {
+// init sizes a table for a shard expected to hold about budget frames:
+// the smallest power of two keeping the load factor at or below one
+// half at that occupancy (minimum 16 slots). Capacity migrates between
+// shards under pressure, so the table grows by rehash if this shard
+// outruns its share. skip is the number of top hash bits the cache
+// stripes on (0 with one stripe).
+func (t *pageTable) init(budget int, skip uint) {
 	size := 16
 	for size < 2*budget {
 		size <<= 1
 	}
+	t.skip = skip
 	t.grow(size)
 }
 
-// hashSlot returns the home slot for page: fibonacci hashing (the same
-// multiplier the cache stripes with), taking the top bits so clustered
-// page numbers scatter.
+// hashSlot returns the home slot for page: fibonacci hashing, taking the
+// top bits below the stripe bits so clustered page numbers scatter
+// within the shard.
 func (t *pageTable) hashSlot(page int64) int {
-	return int((uint64(page) * 0x9E3779B97F4A7C15) >> t.shift)
+	return int(((uint64(page) * 0x9E3779B97F4A7C15) << t.skip) >> t.shift)
 }
 
 // get returns the frame holding page, or nil.

@@ -2,6 +2,9 @@ package buffercache
 
 import (
 	"testing"
+	"time"
+
+	"repro/internal/simdisk"
 )
 
 // ptModel drives a pageTable and a map[int64]*frame reference side by
@@ -14,9 +17,9 @@ type ptModel struct {
 	free  []*frame
 }
 
-func newPTModel(t *testing.T, budget int) *ptModel {
+func newPTModel(t *testing.T, budget int, skip uint) *ptModel {
 	m := &ptModel{t: t, ref: make(map[int64]*frame)}
-	m.table.init(budget)
+	m.table.init(budget, skip)
 	return m
 }
 
@@ -88,7 +91,9 @@ func (m *ptModel) checkAll() {
 // insert/delete/lookup interleavings against the map reference model,
 // over table sizes small enough to stay near the load-factor limit and
 // key distributions that collide (multiples of the table size hash near
-// each other, forcing long probe chains and backshift cascades).
+// each other, forcing long probe chains and backshift cascades). Each
+// case runs on a stripe-free table and on one that skips the top three
+// hash bits, as a shard of an 8-stripe cache does.
 func TestPageTableMatchesMapReference(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -105,32 +110,34 @@ func TestPageTableMatchesMapReference(t *testing.T) {
 		{"tiny", 1, func(r int64) int64 { return r & 0xFF }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newPTModel(t, tc.budget)
-			seed := int64(0x9E3779B9)
-			next := func() int64 { // xorshift: deterministic, no math/rand dep
-				seed ^= seed << 13
-				seed ^= seed >> 7
-				seed ^= seed << 17
-				if seed < 0 {
-					return -seed
+			for _, skip := range []uint{0, 3} {
+				m := newPTModel(t, tc.budget, skip)
+				seed := int64(0x9E3779B9)
+				next := func() int64 { // xorshift: deterministic, no math/rand dep
+					seed ^= seed << 13
+					seed ^= seed >> 7
+					seed ^= seed << 17
+					if seed < 0 {
+						return -seed
+					}
+					return seed
 				}
-				return seed
+				for i := 0; i < 20000; i++ {
+					r := next()
+					page := tc.keyOf(next())
+					switch r % 3 {
+					case 0, 1:
+						m.insert(page)
+					case 2:
+						m.remove(page)
+					}
+					m.check(page, tc.keyOf(next()))
+					if i%997 == 0 {
+						m.checkAll()
+					}
+				}
+				m.checkAll()
 			}
-			for i := 0; i < 20000; i++ {
-				r := next()
-				page := tc.keyOf(next())
-				switch r % 3 {
-				case 0, 1:
-					m.insert(page)
-				case 2:
-					m.remove(page)
-				}
-				m.check(page, tc.keyOf(next()))
-				if i%997 == 0 {
-					m.checkAll()
-				}
-			}
-			m.checkAll()
 		})
 	}
 }
@@ -140,7 +147,7 @@ func TestPageTableMatchesMapReference(t *testing.T) {
 // the front, middle, and back, must leave every survivor reachable with
 // a fresh slot index.
 func TestPageTableBackshiftClusters(t *testing.T) {
-	m := newPTModel(t, 8) // 16 slots
+	m := newPTModel(t, 8, 0) // 16 slots
 	// 10 keys in one cluster region: probe chains overlap heavily.
 	keys := make([]int64, 10)
 	for i := range keys {
@@ -162,7 +169,7 @@ func TestPageTableBackshiftClusters(t *testing.T) {
 // TestPageTableSteadyStateZeroAllocs pins the install/evict cycle at
 // zero allocations once the table has reached its working size.
 func TestPageTableSteadyStateZeroAllocs(t *testing.T) {
-	m := newPTModel(t, 64)
+	m := newPTModel(t, 64, 0)
 	for i := int64(0); i < 64; i++ {
 		m.insert(i)
 	}
@@ -190,7 +197,7 @@ func FuzzPageTable(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := newPTModel(t, 4)
+		m := newPTModel(t, 4, 0)
 		for i := 0; i+1 < len(data); i += 2 {
 			// Spread the one-byte key over a clustered 64-bit space so
 			// collisions are common but keys stay distinct.
@@ -212,7 +219,7 @@ func FuzzPageTable(f *testing.F) {
 // hash-hot shard absorbing the whole budget) and then drains it: growth
 // rehashes must preserve every entry and slot index.
 func TestPageTableGrowth(t *testing.T) {
-	m := newPTModel(t, 4) // starts at 16 slots
+	m := newPTModel(t, 4, 0) // starts at 16 slots
 	for i := int64(0); i < 3000; i++ {
 		m.insert(i * 7)
 	}
@@ -230,12 +237,46 @@ func TestPageTableGrowth(t *testing.T) {
 // holds its expected occupancy at a load factor of one half.
 func TestPageTableSizing(t *testing.T) {
 	var pt pageTable
-	pt.init(4096)
+	pt.init(4096, 0)
 	if got := len(pt.slots); got != 8192 {
 		t.Fatalf("init(4096) sized %d slots, want 8192", got)
 	}
-	pt.init(1)
+	pt.init(1, 0)
 	if got := len(pt.slots); got != 16 {
 		t.Fatalf("init(1) sized %d slots, want the 16-slot floor", got)
+	}
+}
+
+// TestShardedPageTableProbeDisplacement pins home slots that do not
+// alias the stripe hash: every page of one shard shares the hash's top
+// stripe bits, so a table homing on those same bits would crowd each
+// shard into 1/8 of its slots and probe through one long cluster (a mean
+// displacement of ~256 slots here). A well-spread table at this load
+// keeps the mean displacement from the home slot at or below one.
+func TestShardedPageTableProbeDisplacement(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumPages = 16384
+	cfg.Shards = 8
+	c := MustNew(cfg, simdisk.MustNew(simdisk.DefaultParams()))
+	resident := int64(cfg.NumPages * 3 / 4)
+	c.Read(time.Unix(0, 0), 0, resident*cfg.PageSize)
+	if got := c.ResidentPages(); got < int(resident) {
+		t.Fatalf("%d pages resident after the fill, want >= %d", got, resident)
+	}
+	for si, s := range c.shards {
+		mask := len(s.table.slots) - 1
+		var total, n int
+		for i, f := range s.table.slots {
+			if f != nil {
+				total += (i - s.table.hashSlot(f.page)) & mask
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("shard %d holds no pages", si)
+		}
+		if mean := float64(total) / float64(n); mean > 1 {
+			t.Errorf("shard %d: mean probe displacement %.1f slots over %d pages, want <= 1", si, mean, n)
+		}
 	}
 }

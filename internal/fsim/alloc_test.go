@@ -53,3 +53,25 @@ func TestWarmSparseReadZeroAllocs(t *testing.T) {
 		t.Fatalf("warm sparse read allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestWarmSparseDiscardZeroAllocs pins the cost-only read replay bills
+// every trace read through: warm sparse Discard allocates nothing.
+func TestWarmSparseDiscardZeroAllocs(t *testing.T) {
+	s := MustNewFileStore(DefaultConfig())
+	if _, err := s.CreateSized("big", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := s.Open("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Discard(64 << 10) // warm
+	allocs := testing.AllocsPerRun(100, func() {
+		f.SeekTo(0, io.SeekStart)
+		f.Discard(64 << 10)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm sparse discard allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -152,6 +152,13 @@ func (f *faultFile) Read(p []byte) (int, time.Duration, error) {
 	return f.inner.Read(p)
 }
 
+func (f *faultFile) Discard(n int64) (int64, time.Duration, error) {
+	if f.store.shouldFail(OpRead) {
+		return 0, 0, ErrInjected
+	}
+	return f.inner.Discard(n)
+}
+
 func (f *faultFile) Write(p []byte) (int, time.Duration, error) {
 	if f.store.shouldFail(OpWrite) {
 		return 0, 0, ErrInjected

@@ -28,6 +28,7 @@
 package fsim
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"sort"
@@ -66,6 +67,11 @@ type Store interface {
 type File interface {
 	// Read fills p from the current position, advancing it.
 	Read(p []byte) (int, time.Duration, error)
+	// Discard advances the position exactly as Read of an n-byte
+	// buffer would, with the same cost, faults and io.EOF, but copies
+	// no bytes, like bufio.Reader.Discard. Trace replay reads through
+	// it: it bills every read and throws the contents away.
+	Discard(n int64) (int64, time.Duration, error)
 	// Write stores p at the current position, advancing it and growing
 	// the file as needed.
 	Write(p []byte) (int, time.Duration, error)
@@ -88,6 +94,10 @@ var (
 	ErrNotExist = fmt.Errorf("fsim: %w", fs.ErrNotExist)
 	ErrClosed   = fmt.Errorf("fsim: %w", fs.ErrClosed)
 )
+
+// errNegativeDiscard rejects a negative Discard count, as
+// bufio.Reader.Discard does.
+var errNegativeDiscard = errors.New("fsim: negative discard count")
 
 // Config tunes the simulated store's software-path costs. The defaults
 // are calibrated so that warm-cache replay latencies land in the

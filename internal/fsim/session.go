@@ -312,10 +312,27 @@ func (f *simFile) Name() string { return f.meta.name }
 // Size returns the file length.
 func (f *simFile) Size() int64 { return f.meta.length() }
 
-// Read fills p from the current position. The lock section is kept
-// minimal and defer-free: this is the replay hot path, and the cache and
-// clock below are internally synchronized.
+// Read fills p from the current position, advancing it.
 func (f *simFile) Read(p []byte) (int, time.Duration, error) {
+	n, d, err := f.read(p, int64(len(p)))
+	return int(n), d, err
+}
+
+// Discard advances up to n bytes exactly as Read of an n-byte buffer
+// would, but moves no bytes.
+func (f *simFile) Discard(n int64) (int64, time.Duration, error) {
+	if n < 0 {
+		return 0, 0, errNegativeDiscard
+	}
+	return f.read(nil, n)
+}
+
+// read is the one read path: it advances up to want bytes from the
+// current position, billing them through the fault gate and the cache,
+// and fills p with them unless p is nil (a Discard). The lock section is
+// kept minimal and defer-free: this is the replay hot path, and the
+// cache and clock below are internally synchronized.
+func (f *simFile) read(p []byte, want int64) (int64, time.Duration, error) {
 	if f.closed {
 		return 0, 0, ErrClosed
 	}
@@ -326,18 +343,13 @@ func (f *simFile) Read(p []byte) (int, time.Duration, error) {
 		m.mu.RUnlock()
 		return 0, 0, io.EOF
 	}
-	n := int64(len(p))
-	if f.pos+n > size {
-		n = size - f.pos
-	}
+	n := min(want, size-f.pos)
 	sparse := m.sparse
-	if !sparse {
+	if p != nil && !sparse {
 		copy(p, m.data[f.pos:f.pos+n])
 	}
 	m.mu.RUnlock()
-	if sparse {
-		// clear compiles to a memclr; the replay benchmarks read the 1 GB
-		// sample file sparse, so this zero-fill IS the wall-clock data path.
+	if p != nil && sparse {
 		clear(p[:n])
 	}
 	start := f.sess.clk.Now()
@@ -350,10 +362,10 @@ func (f *simFile) Read(p []byte) (int, time.Duration, error) {
 	f.sess.clk.Set(done)
 	f.pos += n
 	var err error
-	if n < int64(len(p)) {
+	if n < want {
 		err = io.EOF
 	}
-	return int(n), done.Sub(start), err
+	return n, done.Sub(start), err
 }
 
 // Write stores p at the current position, growing the file as needed.

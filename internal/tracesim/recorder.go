@@ -152,14 +152,25 @@ var _ fsim.File = (*recordingFile)(nil)
 
 func (f *recordingFile) Read(p []byte) (int, time.Duration, error) {
 	n, dur, err := f.inner.Read(p)
+	f.recordRead(int64(n))
+	return n, dur, err
+}
+
+func (f *recordingFile) Discard(n int64) (int64, time.Duration, error) {
+	n, dur, err := f.inner.Discard(n)
+	f.recordRead(n)
+	return n, dur, err
+}
+
+// recordRead records a read of n bytes at the tracked position.
+func (f *recordingFile) recordRead(n int64) {
 	if n > 0 {
 		f.store.add(trace.Record{
 			Op: trace.OpRead, Count: 1, PID: f.pid,
-			Offset: f.pos, Length: int64(n),
+			Offset: f.pos, Length: n,
 		})
-		f.pos += int64(n)
+		f.pos += n
 	}
-	return n, dur, err
 }
 
 func (f *recordingFile) Write(p []byte) (int, time.Duration, error) {

@@ -3,6 +3,7 @@ package tracesim
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/fsim"
@@ -159,5 +160,60 @@ func TestReplayConcurrentRejectsInvalid(t *testing.T) {
 	bad := &trace.Trace{Header: trace.Header{SampleFile: ""}}
 	if _, err := rp.ReplayConcurrent("bad", bad); err == nil {
 		t.Fatal("invalid trace accepted")
+	}
+}
+
+// TestRecorderDiscardMatchesRead: replay bills reads through Discard,
+// so a recorded Discard must cost what the recorded Read costs and
+// leave the same trace behind. Each case runs on twin stores.
+func TestRecorderDiscardMatchesRead(t *testing.T) {
+	const size = 1 << 20
+	for _, c := range []struct {
+		name  string
+		at, n int64
+	}{
+		{"mid file", 4096, 64 << 10},
+		{"short tail", size - 1000, 64 << 10},
+		{"past EOF", 2 * size, 4096},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			open := func() (fsim.File, *fsim.FileStore, *RecordingStore) {
+				inner := fsim.MustNewFileStore(fsim.DefaultConfig())
+				rec := NewRecordingStore(inner)
+				if _, err := rec.Create("data", make([]byte, size)); err != nil {
+					t.Fatal(err)
+				}
+				f, _, err := rec.Open("data")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := f.SeekTo(c.at, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				return f, inner, rec
+			}
+			rf, rinner, rrec := open()
+			df, dinner, drec := open()
+			rn, rd, rerr := rf.Read(make([]byte, c.n))
+			dn, dd, derr := df.Discard(c.n)
+			if int64(rn) != dn || rd != dd || rerr != derr {
+				t.Fatalf("Discard = (%d, %v, %v), Read = (%d, %v, %v)", dn, dd, derr, rn, rd, rerr)
+			}
+			if got, want := dinner.Cache().Stats(), rinner.Cache().Stats(); got != want {
+				t.Fatalf("cache stats after Discard %+v, after Read %+v", got, want)
+			}
+			if got, want := dinner.TotalDiskStats(), rinner.TotalDiskStats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("disk stats after Discard %+v, after Read %+v", got, want)
+			}
+			untimed := func(tr *trace.Trace) *trace.Trace {
+				for i := range tr.Records {
+					tr.Records[i].WallClock, tr.Records[i].ProcClock = 0, 0
+				}
+				return tr
+			}
+			if got, want := untimed(drec.Trace()), untimed(rrec.Trace()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace after Discard %+v, after Read %+v", got.Records, want.Records)
+			}
+		})
 	}
 }

@@ -274,7 +274,9 @@ func (rp *Replayer) Replay(appName string, tr *trace.Trace) (*Report, error) {
 }
 
 // step executes one expanded trace record against st (the replayer's
-// store, or one worker's session of it).
+// store, or one worker's session of it). Reads are billed through
+// Discard, since replay never looks at the bytes; buf is the worker's
+// reused write buffer.
 func (rp *Replayer) step(st fsim.Store, rep *Report, f *fsim.File, buf *[]byte, rec *trace.Record, sample string) (time.Duration, error) {
 	switch rec.Op {
 	case trace.OpOpen:
@@ -330,8 +332,7 @@ func (rp *Replayer) step(st fsim.Store, rep *Report, f *fsim.File, buf *[]byte, 
 		if err != nil {
 			return 0, err
 		}
-		*buf = grow(*buf, int(rec.Length))
-		_, readDur, err := (*f).Read((*buf)[:rec.Length])
+		_, readDur, err := (*f).Discard(rec.Length)
 		if err != nil && err != io.EOF {
 			return 0, err
 		}

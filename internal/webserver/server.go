@@ -33,18 +33,31 @@ import (
 // DefaultPort is the port the paper's server listens on.
 const DefaultPort = 5050
 
-// RequestKind distinguishes GET and POST records.
-type RequestKind string
+// RequestKind distinguishes GET and POST records. The zero value is no
+// supported method.
+type RequestKind uint8
 
 // Request kinds.
 const (
-	KindGet  RequestKind = "GET"
-	KindPost RequestKind = "POST"
+	KindGet RequestKind = iota + 1
+	KindPost
 )
 
+// String returns the kind's HTTP method token.
+func (k RequestKind) String() string {
+	switch k {
+	case KindGet:
+		return "GET"
+	case KindPost:
+		return "POST"
+	}
+	return fmt.Sprintf("RequestKind(%d)", uint8(k))
+}
+
 // RequestRecord is the server's measurement of one request's file I/O.
+// The server keeps one per request served, so the fields are ordered to
+// pack the record into 40 bytes.
 type RequestRecord struct {
-	Kind RequestKind
 	File string
 	// Size is the number of bytes read or written.
 	Size int64
@@ -53,7 +66,8 @@ type RequestRecord struct {
 	IOTime time.Duration
 	// Status is the HTTP status the request answered with: 200 on
 	// success, 503 when the shed policy refused or abandoned it.
-	Status int
+	Status int32
+	Kind   RequestKind
 	// Shed marks a request refused by admission control (no file I/O was
 	// performed; IOTime is zero).
 	Shed bool
@@ -341,7 +355,13 @@ func parseRequest(br *bufio.Reader, rt *vm.Runtime) (request, error) {
 	if len(fields) < 2 {
 		return request{}, fmt.Errorf("malformed request line %q", line)
 	}
-	req := request{kind: RequestKind(fields[0]), file: strings.TrimPrefix(fields[1], "/")}
+	req := request{file: strings.TrimPrefix(fields[1], "/")}
+	switch fields[0] {
+	case "GET":
+		req.kind = KindGet
+	case "POST":
+		req.kind = KindPost
+	}
 	contentLength := 0
 	for {
 		h, err := br.ReadString('\n')
@@ -386,11 +406,11 @@ func (s *Server) doGet(ns *vm.NetworkStream, st fsim.Store, req request) {
 	}
 	total := openDur + readDur + closeDur
 	if d := s.cfg.Shed.Deadline; d > 0 && total > d {
-		s.record(RequestRecord{Kind: KindGet, File: req.file, Size: int64(len(data)), IOTime: total, Status: 503, Deadlined: true})
+		s.record(RequestRecord{Kind: KindGet, File: stream.Name(), Size: int64(len(data)), IOTime: total, Status: 503, Deadlined: true})
 		writeResponse(ns, 503, "deadline exceeded", total)
 		return
 	}
-	s.record(RequestRecord{Kind: KindGet, File: req.file, Size: int64(len(data)), IOTime: total, Status: 200})
+	s.record(RequestRecord{Kind: KindGet, File: stream.Name(), Size: int64(len(data)), IOTime: total, Status: 200})
 	writeDataResponse(ns, data, total)
 }
 

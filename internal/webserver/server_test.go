@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fsim"
 	"repro/internal/vm"
@@ -387,5 +388,14 @@ func TestFigure6Renders(t *testing.T) {
 	out := fig.RenderLines(40, 8)
 	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "*") {
 		t.Fatalf("figure render:\n%s", out)
+	}
+}
+
+// TestRequestRecordSize pins the record's packing: the server keeps one
+// per request served, so its heap grows with this size times the
+// requests answered.
+func TestRequestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(RequestRecord{}); got > 40 {
+		t.Fatalf("RequestRecord is %d bytes, want <= 40", got)
 	}
 }
