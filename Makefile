@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race bench bench-cold profile bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke loc fmt vet fmt-check ci
+.PHONY: all build test perfbench-test race bench bench-cold profile bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke sim-diff loc fmt vet fmt-check ci
 
 all: build
 
@@ -134,6 +134,17 @@ stdfs-smoke:
 distfault-smoke:
 	$(GO) run ./examples/distributed
 	$(GO) run ./cmd/webbench -mode degraded -addr 127.0.0.1:0 -clients 12 -requests 40
+
+# Simulated-output identity against another revision: builds the
+# simulators at REV and from the working tree under .bench_build/sim-diff/,
+# runs the fidelity command list (paper tables, the bench-contention,
+# bench-faults and bench-avail lines, webbench tables,
+# examples/distributed, benchjson's simulated rows) with both builds, and
+# diffs every output; any difference fails the target. It compares two
+# revisions, so `make ci` does not run it. Usage: make sim-diff REV=HEAD~
+REV ?= HEAD
+sim-diff:
+	GO=$(GO) scripts/sim-diff.sh $(REV)
 
 # Line counts: non-test and test .go lines for each package under
 # internal/, then the totals for internal/ and cmd/. A change's net

@@ -10,6 +10,14 @@
 // which are dirty); file contents live in the file store above it. All
 // timing is simulated and deterministic for a single-threaded caller.
 //
+// Below the cache is one simdisk.Port: misses go down as single
+// requests, eviction write-backs and flush spans as contiguous runs, and
+// flush sweeps and write-back drains as policy-ordered batches. A
+// *simdisk.Disk, a *simdisk.Array and a shared-queue lane are all ports.
+// The one optional capability is AsyncBackend, which only a shared-queue
+// lane has: it lets evictions and readahead issued under a shard lock
+// skip blocking.
+//
 // Concurrency: the cache is lock-striped. Pages hash onto a power-of-two
 // number of shards, each with its own mutex, LRU list, dirty set, and
 // slice of the frame pool, so goroutines touching different stripes
@@ -47,28 +55,10 @@ import (
 	"repro/internal/simdisk"
 )
 
-// Backend is the storage the cache misses to. Both *simdisk.Disk and
-// *simdisk.Array satisfy it; implementations must be safe for concurrent
-// use, as different shards write back independently.
-type Backend interface {
-	Access(now time.Time, req simdisk.Request) (done time.Time, service time.Duration)
-}
-
-// RunBackend is the optional backend capability the cold path prefers:
-// servicing a contiguous run of equal-length requests in one call —
-// one lock acquisition and batched statistics instead of a mutex
-// round-trip and full cost arithmetic per page, with completion times
-// bit-identical to the equivalent Access sequence. Both *simdisk.Disk
-// and *simdisk.Array implement it; eviction write-backs, write-back
-// drains, and flush sweeps route through it.
-type RunBackend interface {
-	Backend
-	AccessRun(now time.Time, r simdisk.Run) (done time.Time, service time.Duration)
-}
-
-// AsyncBackend is the optional fire-and-forget capability shared-queue
-// lanes provide. Eviction write-backs and readahead are submitted while
-// the caller holds a cache shard lock; on a shared queue a blocking
+// AsyncBackend is the one optional capability of the disk port the
+// cache misses to: the fire-and-forget forms shared-queue lanes
+// provide. Eviction write-backs and readahead are submitted while the
+// caller holds a cache shard lock; on a shared queue a blocking
 // submission there could deadlock the event merge (the lane that must
 // produce the earlier-timestamped request may be waiting on that very
 // lock), so those requests go through the Async forms. The returned
@@ -78,30 +68,9 @@ type RunBackend interface {
 // foreground. Private disk views do not implement this; they keep the
 // original inline billing.
 type AsyncBackend interface {
-	Backend
+	simdisk.Port
 	AccessAsync(now time.Time, req simdisk.Request) time.Time
 	AccessRunAsync(now time.Time, r simdisk.Run) time.Time
-}
-
-// backendRun submits a contiguous run on be: one AccessRun when the
-// backend supports it, the equivalent Access sequence otherwise.
-func backendRun(be Backend, now time.Time, r simdisk.Run) time.Time {
-	if rb, ok := be.(RunBackend); ok {
-		done, _ := rb.AccessRun(now, r)
-		return done
-	}
-	done := now
-	t := now
-	off := r.Offset
-	for i := int64(0); i < r.Count; i++ {
-		d, _ := be.Access(t, simdisk.Request{Offset: off, Length: r.Length, Write: r.Write})
-		done = d
-		if r.Chain {
-			t = d
-		}
-		off += r.Length
-	}
-	return done
 }
 
 // Config sizes and tunes a cache.
@@ -135,8 +104,8 @@ type Config struct {
 	// WritebackBatch caps how many pages one drain submits to the disk
 	// queue; zero means the whole dirty set.
 	WritebackBatch int
-	// WritebackPolicy orders each write-back batch (FCFS, SSTF, SCAN)
-	// when the backend supports batch scheduling.
+	// WritebackPolicy orders each write-back batch and flush sweep
+	// (FCFS, SSTF, SCAN).
 	WritebackPolicy simdisk.SchedPolicy
 	// WritebackHighwater is the dirty-page high-water mark per stripe:
 	// a write that leaves a stripe's dirty set at or above it stalls the
@@ -265,17 +234,11 @@ const streamTails = 4
 // sessions (fsim.Session) carry their own IO so their disk timing and
 // sequential-stream detection never leak across lanes.
 type IO struct {
-	backend Backend
-	// run is the backend's contiguous-run capability, asserted once at
-	// NewIO so the per-run hot path never re-checks; nil when the
-	// backend only supports single requests.
-	run RunBackend
+	backend simdisk.Port
 	// async is the backend's fire-and-forget capability (shared-queue
-	// lanes); nil for private disk views, which bill evictions inline.
+	// lanes), asserted once at NewIO; nil for private disk views, which
+	// bill evictions inline.
 	async AsyncBackend
-	// batch is the backend's batch-scheduling capability, used by the
-	// flush sweep; nil when the backend cannot order a batch itself.
-	batch BatchBackend
 
 	// tails holds the last page of several recent read streams, so that
 	// interleaved sequential scans (one per file or region, as the
@@ -294,25 +257,20 @@ func (c *Cache) DefaultIO() *IO { return c.defIO }
 
 // NewIO returns a fresh I/O context over backend (nil means the cache's
 // own backend): untracked streams, independent miss accounting target.
-func (c *Cache) NewIO(backend Backend) *IO {
+func (c *Cache) NewIO(backend simdisk.Port) *IO {
 	if backend == nil {
 		backend = c.backend
 	}
 	io := &IO{backend: backend}
-	io.run, _ = backend.(RunBackend)
 	io.async, _ = backend.(AsyncBackend)
-	io.batch, _ = backend.(BatchBackend)
 	io.reset()
 	return io
 }
 
 // accessRun submits a contiguous page run on the context's backend view.
 func (io *IO) accessRun(now time.Time, r simdisk.Run) time.Time {
-	if io.run != nil {
-		done, _ := io.run.AccessRun(now, r)
-		return done
-	}
-	return backendRun(io.backend, now, r)
+	done, _ := io.backend.AccessRun(now, r)
+	return done
 }
 
 // evictAccess submits a background request — an eviction write-back or
@@ -361,7 +319,7 @@ func (io *IO) noteRead(first, last int64) bool {
 // Cache is the page cache. It is safe for concurrent use.
 type Cache struct {
 	cfg     Config
-	backend Backend
+	backend simdisk.Port
 
 	shards     []*shard
 	shardShift uint // stripe index = fibonacci hash >> (64 - shardShift)
@@ -392,12 +350,12 @@ type Cache struct {
 	// view (fsim does, so background flushing never perturbs foreground
 	// disk timing: the lanes are independent by construction).
 	wb        *writeback
-	wbBackend Backend
+	wbBackend simdisk.Port
 }
 
 // New builds a cache over backend. It returns an error for an invalid
 // configuration or nil backend.
-func New(cfg Config, backend Backend) (*Cache, error) {
+func New(cfg Config, backend simdisk.Port) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -442,7 +400,7 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 // giving the flushers their own view keeps foreground disk timing
 // deterministic — background drains overlap the foreground instead of
 // queueing on its busy horizon.
-func (c *Cache) SetWritebackBackend(be Backend) {
+func (c *Cache) SetWritebackBackend(be simdisk.Port) {
 	if be != nil {
 		c.wbBackend = be
 	}
@@ -461,7 +419,7 @@ func (c *Cache) Close() {
 func (c *Cache) WritebackEnabled() bool { return c.wb != nil }
 
 // MustNew is New that panics on error, for literal wiring in tools/tests.
-func MustNew(cfg Config, backend Backend) *Cache {
+func MustNew(cfg Config, backend simdisk.Port) *Cache {
 	c, err := New(cfg, backend)
 	if err != nil {
 		panic(err)
@@ -731,8 +689,8 @@ func (c *Cache) cleanForFlush(page int64) bool {
 // flushRun accumulates an ascending stream of candidate pages into
 // maximal contiguous still-dirty spans and submits each as one chained
 // AccessRun — the same writes at the same completion-chained times as a
-// page-at-a-time loop, in fewer disk submissions. Flush, FlushRangeIO,
-// and flushPagesIO all feed it, so the grouping logic exists once.
+// page-at-a-time loop, in fewer disk submissions. FlushRangeIO's narrow
+// walk feeds it.
 type flushRun struct {
 	c           *Cache
 	io          *IO
@@ -748,13 +706,6 @@ func (fr *flushRun) add(page int64) {
 	if !fr.c.cleanForFlush(page) {
 		return
 	}
-	fr.addClean(page)
-}
-
-// addClean extends spans over a page the caller already cleaned
-// (flushPagesIO cleans before billing, so the batched and chained
-// billing paths share one collection pass).
-func (fr *flushRun) addClean(page int64) {
 	if fr.count > 0 && page == fr.last+1 {
 		fr.last = page
 		fr.count++
@@ -781,39 +732,26 @@ func (fr *flushRun) flush() {
 
 // flushPagesIO writes back the still-dirty pages of the ascending
 // candidate list on io's backend view and returns the final completion
-// horizon. The sweep is scheduled rather than hand-chained: when the
-// backend can batch-schedule (both simdisk devices and shared-queue
-// lanes can), the cleaned pages go to ServeBatch as one sweep ordered
-// by the configured write-back policy — under a shared queue the whole
-// sweep takes its place in the contended disk queue. For an FCFS policy
-// over the ascending page list the per-request completions chain on the
-// device's busy horizon exactly as the old caller-chained elevator did,
-// so the default configuration's timing is unchanged; plain backends
-// without batch scheduling keep the chained spans as the fallback.
+// horizon. The sweep is scheduled rather than hand-chained: the cleaned
+// pages go to ServeBatch as one sweep ordered by the configured
+// write-back policy — under a shared queue the whole sweep takes its
+// place in the contended disk queue. For an FCFS policy over the
+// ascending page list the per-request completions chain on the device's
+// busy horizon exactly as a caller-chained elevator would, so the
+// default configuration's timing matches the chained spans of
+// flushRun.
 func (c *Cache) flushPagesIO(io *IO, done time.Time, pages []int64) time.Time {
-	live := make([]int64, 0, len(pages))
+	reqs := make([]simdisk.Request, 0, len(pages))
 	for _, page := range pages {
 		if c.cleanForFlush(page) {
-			live = append(live, page)
+			reqs = append(reqs, simdisk.Request{Offset: page * c.cfg.PageSize, Length: c.cfg.PageSize, Write: true})
 		}
 	}
-	if len(live) == 0 {
+	if len(reqs) == 0 {
 		return done
 	}
-	if io.batch != nil {
-		reqs := make([]simdisk.Request, len(live))
-		for i, page := range live {
-			reqs[i] = simdisk.Request{Offset: page * c.cfg.PageSize, Length: c.cfg.PageSize, Write: true}
-		}
-		_, end := io.batch.ServeBatch(done, reqs, c.cfg.WritebackPolicy)
-		return end
-	}
-	fr := flushRun{c: c, io: io, done: done}
-	for _, page := range live {
-		fr.addClean(page)
-	}
-	fr.flush()
-	return fr.done
+	_, end := io.backend.ServeBatch(done, reqs, c.cfg.WritebackPolicy)
+	return end
 }
 
 // FlushRange writes back dirty pages intersecting [offset,

@@ -12,24 +12,18 @@ var ErrInjected = errors.New("fsim: injected fault")
 
 // FaultStore wraps a Store and fails operations on a schedule — the
 // failure-injection substrate the benchmark and replay tests use to
-// verify error paths. The zero schedule injects nothing.
-//
-// Two schedules are available. NewFaultStore's every-Nth counter fails
+// verify error paths. The schedule is an every-Nth counter: it fails
 // the FailEvery'th operation across all operations (Create, Open,
-// Remove, and every File operation on handles the store opened), then
-// the counter continues. NewSeededFaultStore rolls an InjectSpec's
-// deterministic xorshift64 hash per operation instead: targeted op
-// classes fault with 1-in-Rate incidence up to the spec's budget, so a
-// long replay sprinkles a bounded, seed-reproducible fault set instead
-// of a fixed cadence.
+// Remove, Stat, and every File operation on handles the store opened),
+// then the counter continues. The zero schedule injects nothing. Seeded,
+// op-targeted injection with retry is the store's own session
+// machinery (Config.Inject), not this wrapper's.
 type FaultStore struct {
 	inner Store
 
 	mu        sync.Mutex
 	ops       int64
 	failEvery int64
-	spec      InjectSpec
-	budget    int64 // remaining seeded-mode faults; -1 unlimited
 	injected  int64
 }
 
@@ -42,18 +36,6 @@ func NewFaultStore(inner Store, failEvery int64) *FaultStore {
 	return &FaultStore{inner: inner, failEvery: failEvery}
 }
 
-// NewSeededFaultStore wraps inner with spec's deterministic seeded
-// schedule: each operation whose class spec.Ops targets rolls the
-// xorshift64 hash keyed on (seed, op index) and fails on a 1-in-Rate
-// hit, up to spec.Budget total injections (0 = unlimited).
-func NewSeededFaultStore(inner Store, spec InjectSpec) *FaultStore {
-	budget := int64(-1)
-	if spec.Budget > 0 {
-		budget = spec.Budget
-	}
-	return &FaultStore{inner: inner, spec: spec, budget: budget}
-}
-
 var _ Store = (*FaultStore)(nil)
 
 // Injected returns how many faults have fired.
@@ -64,32 +46,16 @@ func (s *FaultStore) Injected() int64 {
 }
 
 // shouldFail advances the operation counter and reports whether this
-// operation is scheduled to fail. The every-Nth path is checked first
-// and behaves exactly as it always has; the seeded path rolls the
-// spec's hash on the global op index.
-func (s *FaultStore) shouldFail(op OpKind) bool {
+// operation is scheduled to fail.
+func (s *FaultStore) shouldFail() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failEvery != 0 {
-		s.ops++
-		if s.ops%s.failEvery == 0 {
-			s.injected++
-			return true
-		}
-		return false
-	}
-	if s.spec.Rate == 0 {
+	if s.failEvery == 0 {
 		return false
 	}
 	s.ops++
-	if !s.spec.Ops.Has(op) || s.budget == 0 {
-		return false
-	}
-	if fire, _ := s.spec.roll(0, uint64(s.ops), 0); fire {
+	if s.ops%s.failEvery == 0 {
 		s.injected++
-		if s.budget > 0 {
-			s.budget--
-		}
 		return true
 	}
 	return false
@@ -97,7 +63,7 @@ func (s *FaultStore) shouldFail(op OpKind) bool {
 
 // Create passes through unless a fault fires.
 func (s *FaultStore) Create(name string, data []byte) (time.Duration, error) {
-	if s.shouldFail(OpCreate) {
+	if s.shouldFail() {
 		return 0, ErrInjected
 	}
 	return s.inner.Create(name, data)
@@ -105,7 +71,7 @@ func (s *FaultStore) Create(name string, data []byte) (time.Duration, error) {
 
 // Open passes through unless a fault fires.
 func (s *FaultStore) Open(name string) (File, time.Duration, error) {
-	if s.shouldFail(OpOpen) {
+	if s.shouldFail() {
 		return nil, 0, ErrInjected
 	}
 	f, dur, err := s.inner.Open(name)
@@ -117,7 +83,7 @@ func (s *FaultStore) Open(name string) (File, time.Duration, error) {
 
 // Remove passes through unless a fault fires.
 func (s *FaultStore) Remove(name string) (time.Duration, error) {
-	if s.shouldFail(OpRemove) {
+	if s.shouldFail() {
 		return 0, ErrInjected
 	}
 	return s.inner.Remove(name)
@@ -125,7 +91,7 @@ func (s *FaultStore) Remove(name string) (time.Duration, error) {
 
 // Stat passes through unless a fault fires.
 func (s *FaultStore) Stat(name string) (int64, time.Duration, error) {
-	if s.shouldFail(OpStat) {
+	if s.shouldFail() {
 		return 0, 0, ErrInjected
 	}
 	return s.inner.Stat(name)
@@ -146,28 +112,28 @@ type faultFile struct {
 var _ File = (*faultFile)(nil)
 
 func (f *faultFile) Read(p []byte) (int, time.Duration, error) {
-	if f.store.shouldFail(OpRead) {
+	if f.store.shouldFail() {
 		return 0, 0, ErrInjected
 	}
 	return f.inner.Read(p)
 }
 
 func (f *faultFile) Discard(n int64) (int64, time.Duration, error) {
-	if f.store.shouldFail(OpRead) {
+	if f.store.shouldFail() {
 		return 0, 0, ErrInjected
 	}
 	return f.inner.Discard(n)
 }
 
 func (f *faultFile) Write(p []byte) (int, time.Duration, error) {
-	if f.store.shouldFail(OpWrite) {
+	if f.store.shouldFail() {
 		return 0, 0, ErrInjected
 	}
 	return f.inner.Write(p)
 }
 
 func (f *faultFile) SeekTo(offset int64, whence int) (int64, time.Duration, error) {
-	if f.store.shouldFail(OpSeek) {
+	if f.store.shouldFail() {
 		return 0, 0, ErrInjected
 	}
 	return f.inner.SeekTo(offset, whence)

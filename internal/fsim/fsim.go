@@ -18,13 +18,14 @@
 // simulated time in parallel and the aggregate elapsed time is the
 // longest lane, not the sum.
 //
-// Disk billing is run-granular: every disk view here is a
-// *simdisk.Array, which implements buffercache.RunBackend, so the
-// cache's cold paths — eviction write-backs, the flush-on-close sweep
-// (FlushRange), and Settle's final Flush — submit contiguous page spans
-// as single AccessRun calls rather than one Access per page. The
-// simulated completion times are bit-identical either way; only the
-// engine's wall cost differs.
+// Disk billing is run-granular: every disk view here is a simdisk.Port
+// (a *simdisk.Array, or a shared-queue lane over one), so the cache's
+// cold paths — eviction write-backs and the flush-on-close sweep
+// (FlushRange) — submit contiguous page spans as single AccessRun calls
+// rather than one Access per page, and whole-cache flushes (Settle's
+// final Flush) as one scheduled batch. The simulated completion times
+// are bit-identical to the per-page sequence; only the engine's wall
+// cost differs.
 package fsim
 
 import (

@@ -10,39 +10,31 @@ import (
 	"repro/internal/simdisk/sharedq"
 )
 
-// ArrayRebuild drives a failed member's reconstruction onto a spare
-// through the store's disk path. In shared disk-queue mode the
-// reconstruction reads are submitted on a dedicated queue lane, so
+// memberRebuild is one member's reconstruction inside a RebuildSet: the
+// simdisk copy, the port its reads flow through, and its own clock lane.
+// In shared disk-queue mode the port is a dedicated queue lane, so
 // rebuild traffic contends with every foreground session in the merged
 // dispatch — the rebuild-vs-foreground interference the ablation
 // measures. In private-view mode the reads run against the store's
 // shared array (the default lane's view).
-//
-// Lifecycle: BeginRebuild before foreground workers start (the lane
-// must join the merge at a deterministic point), Run concurrently with
-// them (it blocks until the copy completes on simulated time), and
-// Finish only after foreground lanes quiesce — promotion heals the
-// member in place, and doing it mid-run would make subsequent timings
-// depend on wall-clock interleaving.
-type ArrayRebuild struct {
-	store  *FileStore
+type memberRebuild struct {
 	rb     *simdisk.Rebuild
-	port   simdisk.AccessPort
-	lane   *sharedq.Lane
+	port   simdisk.Port
+	lane   *sharedq.Lane // nil in private-view mode
 	clk    *clock.VirtualClock
 	member int
 	start  time.Time
 	end    time.Time
 }
 
-// BeginRebuild prepares the reconstruction of member failed, covering
+// beginRebuild prepares the reconstruction of member failed, covering
 // every extent allocated so far. The member is typically dead under the
 // configured fault plan, but rebuilding a live (e.g. merely slowed)
 // member is allowed — the copy then reads it directly. When the store
 // provisions a hot-spare pool (Config.Spares), the spare is claimed from
 // it and exhaustion is an error; otherwise the rebuild provisions an
 // ad-hoc spare.
-func (s *FileStore) BeginRebuild(failed int) (*ArrayRebuild, error) {
+func (s *FileStore) beginRebuild(failed int) (*memberRebuild, error) {
 	used := s.nextBase.Load()
 	var spare *simdisk.Disk
 	if s.spares != nil {
@@ -69,7 +61,7 @@ func (s *FileStore) BeginRebuild(failed int) (*ArrayRebuild, error) {
 		}
 		return nil, err
 	}
-	r := &ArrayRebuild{store: s, rb: rb, member: failed, clk: s.tl.NewLane()}
+	r := &memberRebuild{rb: rb, member: failed, clk: s.tl.NewLane()}
 	r.start = r.clk.Now()
 	if s.queue != nil {
 		r.lane = s.queue.NewLane(r.clk.Now())
@@ -83,75 +75,30 @@ func (s *FileStore) BeginRebuild(failed int) (*ArrayRebuild, error) {
 // SparePool exposes the hot-spare pool (nil when Config.Spares is zero).
 func (s *FileStore) SparePool() *simdisk.SparePool { return s.spares }
 
-// Run drives the whole copy on the rebuild's own lane: each block's
+// run drives the whole copy on the rebuild's own lane: each block's
 // reconstruction read flows through the store's disk path (contending
 // in the shared queue when one is configured) and its spare write
-// chains after. It returns the simulated completion time and parks the
+// chains after. It records the simulated completion time and parks the
 // lane, so a finished rebuild never gates the event merge.
-func (r *ArrayRebuild) Run() time.Time {
-	end := r.rb.Run(r.clk.Now(), r.port)
-	r.clk.Set(end)
-	r.end = end
+func (r *memberRebuild) run() {
+	r.end = r.rb.Run(r.clk.Now(), r.port)
+	r.clk.Set(r.end)
 	if r.lane != nil {
 		r.lane.Park()
 	}
-	return end
 }
 
-// End returns the copy's completion time (zero before Run finishes).
-func (r *ArrayRebuild) End() time.Time { return r.end }
-
-// Elapsed returns the copy's simulated duration (zero before Run
-// finishes).
-func (r *ArrayRebuild) Elapsed() time.Duration {
-	if r.end.IsZero() {
-		return 0
-	}
-	return r.end.Sub(r.start)
-}
-
-// Rows returns how many blocks the rebuild covers.
-func (r *ArrayRebuild) Rows() int64 { return r.rb.Rows() }
-
-// Spare exposes the spare disk for stats inspection before Finish.
-func (r *ArrayRebuild) Spare() *simdisk.Disk { return r.rb.Spare() }
-
-// Finish promotes the spare into the member (clearing its fault state
-// and folding the rebuild statistics into the array) and retires the
-// rebuild's lane into the timeline floor, preserving aggregate elapsed
-// time. Call it only after Run returned and foreground lanes quiesced.
-func (r *ArrayRebuild) Finish() error {
-	if !r.rb.Done() {
-		return fmt.Errorf("fsim: rebuild incomplete")
-	}
-	if err := r.rb.Finish(); err != nil {
-		return err
-	}
+// release retires the rebuild's queue lane from the merge and its clock
+// lane into the store's timeline floor, preserving aggregate elapsed
+// time.
+func (r *memberRebuild) release(s *FileStore) {
 	if r.lane != nil {
 		r.lane.Release()
 		r.lane = nil
 	}
 	if r.clk != nil {
-		r.store.tl.ReleaseLane(r.clk)
+		s.tl.ReleaseLane(r.clk)
 		r.clk = nil
-	}
-	return nil
-}
-
-// abort releases a begun-but-never-run rebuild's resources: its lane
-// retires from the merge and a pooled spare (still untouched) returns to
-// the pool. Only the RebuildSet construction error path uses it.
-func (r *ArrayRebuild) abort() {
-	if r.lane != nil {
-		r.lane.Release()
-		r.lane = nil
-	}
-	if r.clk != nil {
-		r.store.tl.ReleaseLane(r.clk)
-		r.clk = nil
-	}
-	if r.store.spares != nil {
-		r.store.spares.Put(r.rb.Spare())
 	}
 }
 
@@ -168,12 +115,17 @@ type RebuildMemberResult struct {
 
 // RebuildSet drives several members' rebuilds as one unit — the
 // hot-spare-pool story, where a double failure rebuilds both members
-// concurrently. Lifecycle mirrors ArrayRebuild's: BeginRebuilds before
-// foreground workers start, Run concurrently with them, Finish after
-// they quiesce.
+// concurrently.
+//
+// Lifecycle: BeginRebuilds before foreground workers start (the lanes
+// must join the merge at a deterministic point), Run concurrently with
+// them (it blocks until every copy completes on simulated time), and
+// Finish only after foreground lanes quiesce — promotion heals the
+// members in place, and doing it mid-run would make subsequent timings
+// depend on wall-clock interleaving.
 type RebuildSet struct {
 	store    *FileStore
-	rebuilds []*ArrayRebuild
+	rebuilds []*memberRebuild
 	results  []RebuildMemberResult
 }
 
@@ -195,10 +147,15 @@ func (s *FileStore) BeginRebuilds(members []int) (*RebuildSet, error) {
 	}
 	rs := &RebuildSet{store: s}
 	for _, m := range members {
-		r, err := s.BeginRebuild(m)
+		r, err := s.beginRebuild(m)
 		if err != nil {
+			// Unwind the begun-but-never-run rebuilds: their lanes retire
+			// and pooled spares (still untouched) return to the pool.
 			for _, begun := range rs.rebuilds {
-				begun.abort()
+				begun.release(s)
+				if s.spares != nil {
+					s.spares.Put(begun.rb.Spare())
+				}
 			}
 			return nil, err
 		}
@@ -222,23 +179,19 @@ func (rs *RebuildSet) Run() time.Time {
 		var wg sync.WaitGroup
 		for _, r := range rs.rebuilds {
 			wg.Add(1)
-			go func(r *ArrayRebuild) {
+			go func(r *memberRebuild) {
 				defer wg.Done()
-				r.Run()
+				r.run()
 			}(r)
 		}
 		wg.Wait()
+	} else {
 		for _, r := range rs.rebuilds {
-			if r.end.After(end) {
-				end = r.end
-			}
+			r.run()
 		}
-		return end
 	}
 	for _, r := range rs.rebuilds {
-		if done := r.Run(); done.After(end) {
-			end = done
-		}
+		end = clock.MaxTime(end, r.end)
 	}
 	return end
 }
@@ -247,7 +200,7 @@ func (rs *RebuildSet) Run() time.Time {
 func (rs *RebuildSet) Rows() int64 {
 	var rows int64
 	for _, r := range rs.rebuilds {
-		rows += r.Rows()
+		rows += r.rb.Rows()
 	}
 	return rows
 }
@@ -256,8 +209,8 @@ func (rs *RebuildSet) Rows() int64 {
 func (rs *RebuildSet) Elapsed() time.Duration {
 	var d time.Duration
 	for _, r := range rs.rebuilds {
-		if e := r.Elapsed(); e > d {
-			d = e
+		if !r.end.IsZero() && r.end.Sub(r.start) > d {
+			d = r.end.Sub(r.start)
 		}
 	}
 	return d
@@ -274,12 +227,13 @@ func (rs *RebuildSet) Finish() error {
 	for _, r := range rs.rebuilds {
 		res := RebuildMemberResult{
 			Member: r.member,
-			Rows:   r.Rows(),
-			Writes: r.Spare().Stats().RebuildWrites,
+			Rows:   r.rb.Rows(),
+			Writes: r.rb.Spare().Stats().RebuildWrites,
 		}
-		if err := r.Finish(); err != nil {
+		if err := r.rb.Finish(); err != nil {
 			return fmt.Errorf("fsim: finishing member %d rebuild: %w", r.member, err)
 		}
+		r.release(rs.store)
 		results = append(results, res)
 	}
 	rs.results = results

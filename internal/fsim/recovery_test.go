@@ -155,67 +155,31 @@ func TestReleaseFoldsRecoveryStats(t *testing.T) {
 	}
 }
 
-// TestSeededFaultStore pins the FaultStore's seeded mode: the schedule
-// is budget-bounded, reproducible for a seed, different across seeds,
-// and the legacy every-Nth counter is untouched.
-func TestSeededFaultStore(t *testing.T) {
-	run := func(spec InjectSpec) []int {
-		store := MustNewFileStore(DefaultConfig())
-		defer store.Close()
-		if _, err := store.Create("f", []byte("hello")); err != nil {
-			t.Fatal(err)
-		}
-		fs := NewSeededFaultStore(store, spec)
-		var failedAt []int
-		for i := 0; i < 200; i++ {
-			if _, _, err := fs.Stat("f"); err != nil {
-				if !errors.Is(err, ErrInjected) {
-					t.Fatalf("op %d: %v", i, err)
-				}
-				failedAt = append(failedAt, i)
-			}
-		}
-		return failedAt
-	}
-	spec := InjectSpec{Seed: 42, Rate: 10, Budget: 5}
-	a := run(spec)
-	b := run(spec)
-	if len(a) == 0 || len(a) > 5 {
-		t.Fatalf("seeded schedule fired %d times, want 1..5 (budget)", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("seeded schedule not reproducible: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded schedule diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-	other := run(InjectSpec{Seed: 43, Rate: 10, Budget: 5})
-	same := len(other) == len(a)
-	if same {
-		for i := range a {
-			if a[i] != other[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatalf("distinct seeds drew identical schedules: %v", a)
-	}
-
-	// Per-op-type targeting: a write-only mask never fails stats.
-	store := MustNewFileStore(DefaultConfig())
+// TestSessionInjectOpMask pins per-op-type targeting of session
+// injection: with a write-only mask and Rate=1, stats never fault while
+// every write does.
+func TestSessionInjectOpMask(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Inject = InjectSpec{Seed: 42, Rate: 1, Ops: MaskOf(OpWrite)}
+	store := MustNewFileStore(cfg)
 	defer store.Close()
 	if _, err := store.Create("f", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	masked := NewSeededFaultStore(store, InjectSpec{Seed: 42, Rate: 1, Ops: MaskOf(OpWrite)})
+	sess := store.NewSession()
+	defer sess.Release()
 	for i := 0; i < 50; i++ {
-		if _, _, err := masked.Stat("f"); err != nil {
-			t.Fatalf("write-masked store failed a stat: %v", err)
+		if _, _, err := sess.Stat("f"); err != nil {
+			t.Fatalf("write-masked session failed a stat: %v", err)
 		}
+	}
+	f, _, err := sess.Open("f")
+	if err != nil {
+		t.Fatalf("write-masked session failed an open: %v", err)
+	}
+	defer f.Close()
+	if _, _, err := f.Write([]byte("x")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write-masked session write err = %v, want ErrInjected", err)
 	}
 }
 
@@ -233,7 +197,7 @@ func TestStoreRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb, err := store.BeginRebuild(1)
+	rb, err := store.BeginRebuilds([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +205,11 @@ func TestStoreRebuild(t *testing.T) {
 		t.Fatalf("rebuild covers %d rows, want > 0", rb.Rows())
 	}
 	end := rb.Run()
-	if spare := rb.Spare().Stats(); spare.RebuildWrites != rb.Rows() {
-		t.Fatalf("spare RebuildWrites %d, want %d", spare.RebuildWrites, rb.Rows())
-	}
 	if err := rb.Finish(); err != nil {
 		t.Fatal(err)
+	}
+	if m := rb.Members(); len(m) != 1 || m[0].Member != 1 || m[0].Writes != rb.Rows() {
+		t.Fatalf("members %+v, want one member 1 with Writes == Rows %d", m, rb.Rows())
 	}
 	if store.Array().Disk(1).Failed(end) {
 		t.Fatalf("member still failed after Finish")

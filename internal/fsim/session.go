@@ -58,8 +58,8 @@ func (s *FileStore) NewSession() *Session {
 	var sess *Session
 	if s.queue != nil {
 		// Shared-queue mode: the session's disk port is a lane into the
-		// one contended queue instead of a private array. The lane
-		// satisfies the cache's Backend capabilities directly.
+		// one contended queue instead of a private array. The lane is a
+		// simdisk.Port with the cache's AsyncBackend capability.
 		lane := s.queue.NewLane(clk.Now())
 		sess = &Session{store: s, clk: clk, io: s.cache.NewIO(lane), lane: lane}
 	} else {

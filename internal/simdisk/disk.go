@@ -382,6 +382,22 @@ type Run struct {
 	Chain bool
 }
 
+// Port is what a disk accepts: a single request, a contiguous run, or a
+// policy-ordered batch. The buffer cache misses and writes back through
+// a Port, rebuilds read through one, and a shared-queue lane is one, so
+// every layer above the disk model speaks the same submission shapes.
+// Implementations must be safe for concurrent use.
+type Port interface {
+	Access(now time.Time, req Request) (done time.Time, service time.Duration)
+	AccessRun(now time.Time, r Run) (done time.Time, service time.Duration)
+	ServeBatch(now time.Time, reqs []Request, policy SchedPolicy) ([]BatchResult, time.Time)
+}
+
+var (
+	_ Port = (*Disk)(nil)
+	_ Port = (*Array)(nil)
+)
+
 // AccessRun services r.Count contiguous requests under one lock
 // acquisition and returns the last completion time and the summed
 // service duration. It performs the same per-request arithmetic in the

@@ -26,23 +26,14 @@ func (a *Array) ApplyFaultPlan(epoch time.Time, plan *FaultPlan) error {
 	return nil
 }
 
-// AccessPort is the single-request access surface a rebuild drives its
-// reconstruction reads through: *Array satisfies it directly (private
-// disk views), and so does *sharedq.Lane — so rebuild traffic flows
-// through the shared contended queue when one is configured, contending
-// with foreground requests under the same event-merged dispatch.
-type AccessPort interface {
-	Access(now time.Time, req Request) (time.Time, time.Duration)
-}
-
-var _ AccessPort = (*Array)(nil)
-
 // Rebuild reconstructs one member's contents onto a fresh spare, block
 // by block. Each Step issues one logical read covering the lost block
-// through an AccessPort — on a degraded array the read itself performs
-// the failover (RAID1) or parity reconstruction (RAID5), billing the
-// survivor traffic — then writes the block onto the spare, chained
-// after the read completes. When every block has been copied, Finish
+// through a Port (the *Array itself for private disk views, or a
+// shared-queue lane, so rebuild reads contend with foreground requests
+// under the same event-merged dispatch). On a degraded array the read
+// itself performs the failover (RAID1) or parity reconstruction (RAID5),
+// billing the survivor traffic; then the block is written onto the
+// spare, chained after the read completes. When every block has been copied, Finish
 // folds the spare into the dead member: its fault state clears, its
 // head and busy horizon adopt the spare's, and the spare's statistics
 // (including RebuildWrites) merge into the member's, so TotalStats
@@ -126,7 +117,7 @@ func (r *Rebuild) Spare() *Disk { return r.spare }
 // and bills them), then the block's write onto the spare, chained after
 // the read. It returns the write's completion time and false once no
 // blocks remain (then done == now).
-func (r *Rebuild) Step(now time.Time, port AccessPort) (done time.Time, ok bool) {
+func (r *Rebuild) Step(now time.Time, port Port) (done time.Time, ok bool) {
 	if r.next >= r.rows {
 		return now, false
 	}
@@ -169,7 +160,7 @@ func (r *Rebuild) Step(now time.Time, port AccessPort) (done time.Time, ok bool)
 // each block's spare write chains after its reconstruction read, and
 // the next read issues at the previous write's completion — a
 // sequential rebuild stream. It returns the final completion time.
-func (r *Rebuild) Run(now time.Time, port AccessPort) time.Time {
+func (r *Rebuild) Run(now time.Time, port Port) time.Time {
 	t := now
 	for {
 		done, ok := r.Step(t, port)

@@ -69,13 +69,12 @@ import (
 	"repro/internal/simdisk"
 )
 
-// Device is the disk model behind the queue. Both *simdisk.Disk and
-// *simdisk.Array satisfy it; the queue adds ordering and contention on
-// top, never cost arithmetic of its own.
+// Device is the disk model behind the queue: a simdisk.Port that also
+// reports its head position for the seek-ordered policies. Both
+// *simdisk.Disk and *simdisk.Array satisfy it; the queue adds ordering
+// and contention on top, never cost arithmetic of its own.
 type Device interface {
-	Access(now time.Time, req simdisk.Request) (done time.Time, service time.Duration)
-	AccessRun(now time.Time, r simdisk.Run) (done time.Time, service time.Duration)
-	ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time)
+	simdisk.Port
 	Head() int64
 }
 
@@ -124,9 +123,9 @@ type Queue struct {
 }
 
 // Lane is one actor's port into the queue. A Lane must be used by a
-// single goroutine at a time (the same contract as fsim.Session); it
-// satisfies buffercache's Backend, RunBackend, BatchBackend, and
-// AsyncBackend capabilities, so a cache IO can sit directly on it.
+// single goroutine at a time (the same contract as fsim.Session). It is
+// a simdisk.Port plus the fire-and-forget forms buffercache's
+// AsyncBackend asks for, so a cache IO can sit directly on it.
 type Lane struct {
 	q  *Queue
 	id int
@@ -289,24 +288,8 @@ func (l *Lane) Release() {
 // cannot proceed until the device has served it. The returned
 // completion includes any time spent queued behind other lanes.
 func (l *Lane) Access(now time.Time, req simdisk.Request) (time.Time, time.Duration) {
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, svc := q.dev.Access(now, req)
-		q.noteInlineLocked(l, now, done, true)
-		q.mu.Unlock()
-		return done, svc
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opReq
-	e.req = req
-	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-	return e.done, e.service
+	done, svc, _ := l.submit(now, entry{kind: opReq, req: req, sync: true})
+	return done, svc
 }
 
 // AccessRun submits a blocking contiguous run, the cold path's bulk
@@ -314,53 +297,19 @@ func (l *Lane) Access(now time.Time, req simdisk.Request) (time.Time, time.Durat
 // other entries by its leading offset, and the device bills it through
 // AccessRun unchanged.
 func (l *Lane) AccessRun(now time.Time, r simdisk.Run) (time.Time, time.Duration) {
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, svc := q.dev.AccessRun(now, r)
-		q.noteInlineLocked(l, now, done, true)
-		q.mu.Unlock()
-		return done, svc
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opRun
-	e.run = r
-	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-	return e.done, e.service
+	done, svc, _ := l.submit(now, entry{kind: opRun, run: r, sync: true})
+	return done, svc
 }
 
 // ServeBatch submits a blocking sweep (a flush of many dirty pages) as
 // one scheduling unit, ordered internally by the submitter's policy
-// when dispatched. Satisfies buffercache's BatchBackend.
+// when dispatched.
 func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time) {
 	if len(reqs) == 0 {
 		return nil, now
 	}
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		res, end := q.dev.ServeBatch(now, reqs, policy)
-		q.noteInlineLocked(l, now, end, true)
-		q.stats.Batches++
-		q.mu.Unlock()
-		return res, end
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opBatch
-	e.reqs = append([]simdisk.Request(nil), reqs...)
-	e.policy = policy
-	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-	return e.results, e.done
+	done, _, res := l.submit(now, entry{kind: opBatch, reqs: reqs, policy: policy, sync: true})
+	return res, done
 }
 
 // AccessAsync submits a fire-and-forget request — an eviction
@@ -369,38 +318,58 @@ func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.
 // and the true completion returns (preserving private-path equivalence);
 // with contention it is enqueued and the submission time stands in.
 func (l *Lane) AccessAsync(now time.Time, req simdisk.Request) time.Time {
-	q := l.q
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, _ := q.dev.Access(now, req)
-		q.noteInlineLocked(l, now, done, false)
-		return done
-	}
-	e := q.enqueueLocked(l, now, false)
-	e.kind = opReq
-	e.req = req
-	q.dispatchLocked()
-	return now
+	done, _, _ := l.submit(now, entry{kind: opReq, req: req})
+	return done
 }
 
 // AccessRunAsync is AccessAsync for contiguous runs.
 func (l *Lane) AccessRunAsync(now time.Time, r simdisk.Run) time.Time {
+	done, _, _ := l.submit(now, entry{kind: opRun, run: r})
+	return done
+}
+
+// submit is the one submission body behind the Lane methods. It clamps
+// the arrival, then either serves e inline (l is the sole lane and
+// nothing is pending) or enqueues it, runs the dispatch gate, and — for
+// a sync entry — waits until it is served. An async entry that had to
+// queue returns its arrival as the completion stand-in. e arrives by
+// value and is copied to the heap only when it is enqueued, so the
+// sole-lane path allocates nothing; a queued batch also takes its own
+// copy of the requests, so no pending entry aliases caller memory.
+func (l *Lane) submit(now time.Time, e entry) (time.Time, time.Duration, []simdisk.BatchResult) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	now = l.clampLocked(now)
+	e.lane = l
+	e.arrival = l.clampLocked(now)
+	l.parked = false
+	l.lastArrival = e.arrival
 	if q.soleLocked(l) {
-		done, _ := q.dev.AccessRun(now, r)
-		q.noteInlineLocked(l, now, done, false)
-		return done
+		q.serveLocked(&e)
+		return e.done, e.service, e.results
 	}
-	e := q.enqueueLocked(l, now, false)
-	e.kind = opRun
-	e.run = r
+	p := new(entry)
+	*p = e
+	if p.kind == opBatch {
+		p.reqs = append([]simdisk.Request(nil), p.reqs...)
+	}
+	p.seq = l.seq
+	l.seq++
+	if p.sync {
+		l.syncPending++
+	}
+	q.pending = append(q.pending, p)
+	if len(q.pending) > q.stats.MaxPending {
+		q.stats.MaxPending = len(q.pending)
+	}
 	q.dispatchLocked()
-	return now
+	if !p.sync {
+		return p.arrival, 0, nil
+	}
+	for !p.served {
+		q.cond.Wait()
+	}
+	return p.done, p.service, p.results
 }
 
 // clampLocked enforces per-lane arrival monotonicity: a submission never
@@ -421,38 +390,6 @@ func (q *Queue) soleLocked(l *Lane) bool {
 	return ok
 }
 
-// noteInlineLocked records an inline (sole-lane) serve in the lane and
-// queue state, so a later second lane joins a consistent merge.
-func (q *Queue) noteInlineLocked(l *Lane, arrival, done time.Time, syn bool) {
-	l.parked = false
-	l.lastArrival = arrival
-	q.busy = clock.MaxTime(q.busy, done)
-	q.edge = clock.MaxTime(q.edge, arrival)
-	q.stats.Dispatches++
-	if syn {
-		q.stats.SyncDispatches++
-	} else {
-		q.stats.AsyncDispatches++
-	}
-}
-
-// enqueueLocked appends a pending entry for l arriving at now (already
-// clamped). The caller fills in the kind-specific payload.
-func (q *Queue) enqueueLocked(l *Lane, now time.Time, syn bool) *entry {
-	e := &entry{lane: l, seq: l.seq, arrival: now, sync: syn}
-	l.seq++
-	l.parked = false
-	l.lastArrival = now
-	if syn {
-		l.syncPending++
-	}
-	q.pending = append(q.pending, e)
-	if len(q.pending) > q.stats.MaxPending {
-		q.stats.MaxPending = len(q.pending)
-	}
-	return e
-}
-
 // dispatchLocked serves every entry that is safe to serve, then wakes
 // blocked submitters if anything completed. Called after every state
 // change (submit, advance, park, release) — the gate only ever opens on
@@ -464,7 +401,24 @@ func (q *Queue) dispatchLocked() {
 		if e == nil {
 			break
 		}
+		for i, p := range q.pending {
+			if p == e {
+				q.pending = append(q.pending[:i], q.pending[i+1:]...)
+				break
+			}
+		}
 		q.serveLocked(e)
+		if e.sync {
+			e.lane.syncPending--
+		}
+		// Async (write-back) submissions wait behind other lanes' work
+		// just like sync ones do — the delay lands on the flusher instead
+		// of a blocked reader, but it is contention all the same, so both
+		// kinds accrue. Inline sole-lane serves never queue and add
+		// nothing.
+		if w := e.done.Sub(e.arrival) - e.service; w > 0 {
+			q.stats.QueueDelay += w
+		}
 		served = true
 	}
 	if served {
@@ -576,16 +530,12 @@ func absDist(a, b int64) int64 {
 	return b - a
 }
 
-// serveLocked removes e from the pending set and services it on the
-// device at its arrival time; the device's busy horizon converts
-// contention into queueing delay.
+// serveLocked services e on the device at its arrival time (the
+// device's busy horizon converts contention into queueing delay) and
+// books the dispatch: the queue's busy horizon and dispatch edge, and
+// the counters. The sole-lane inline serve and the queued dispatch both
+// go through it.
 func (q *Queue) serveLocked(e *entry) {
-	for i, p := range q.pending {
-		if p == e {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			break
-		}
-	}
 	switch e.kind {
 	case opRun:
 		e.done, e.service = q.dev.AccessRun(e.arrival, e.run)
@@ -601,9 +551,6 @@ func (q *Queue) serveLocked(e *entry) {
 		e.done, e.service = q.dev.Access(e.arrival, e.req)
 	}
 	e.served = true
-	if e.sync {
-		e.lane.syncPending--
-	}
 	q.busy = clock.MaxTime(q.busy, e.done)
 	q.edge = clock.MaxTime(q.edge, e.arrival)
 	q.stats.Dispatches++
@@ -611,12 +558,5 @@ func (q *Queue) serveLocked(e *entry) {
 		q.stats.SyncDispatches++
 	} else {
 		q.stats.AsyncDispatches++
-	}
-	// Async (write-back) submissions wait behind other lanes' work just
-	// like sync ones do — the delay lands on the flusher instead of a
-	// blocked reader, but it is contention all the same, so both kinds
-	// accrue. Inline sole-lane serves never wait and add nothing.
-	if w := e.done.Sub(e.arrival) - e.service; w > 0 {
-		q.stats.QueueDelay += w
 	}
 }

@@ -338,3 +338,41 @@ func TestLateLaneFlooredAtEdge(t *testing.T) {
 		t.Fatalf("dispatched %d entries, want 2", n)
 	}
 }
+
+// TestSoleLaneSubmissionsZeroAllocs pins the inline fast path at zero
+// allocations: a sole lane's single-request and run submissions, sync
+// and async, serve on the device without building a queue entry.
+func TestSoleLaneSubmissionsZeroAllocs(t *testing.T) {
+	q := MustNew(simdisk.MustNewArray(4, 64<<10, simdisk.MemoryBackedParams()), simdisk.SSTF)
+	lane := q.NewLane(t0)
+	now := t0
+	off := int64(0)
+	next := func() int64 {
+		off = (off + 1<<16) % (1 << 24)
+		return off
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Access", func() {
+			now, _ = lane.Access(now, simdisk.Request{Offset: next(), Length: 4096})
+		}},
+		{"AccessRun", func() {
+			now, _ = lane.AccessRun(now, simdisk.Run{Offset: next(), Length: 4096, Count: 8, Write: true, Chain: true})
+		}},
+		{"AccessAsync", func() {
+			now = lane.AccessAsync(now, simdisk.Request{Offset: next(), Length: 4096, Write: true})
+		}},
+		{"AccessRunAsync", func() {
+			now = lane.AccessRunAsync(now, simdisk.Run{Offset: next(), Length: 4096, Count: 8, Write: true})
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+			t.Errorf("sole-lane %s allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+	if st := q.Stats(); st.Dispatches == 0 || st.MaxPending != 0 {
+		t.Fatalf("stats %+v: want inline serves only", st)
+	}
+}
