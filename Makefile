@@ -59,11 +59,13 @@ profile:
 # Contention smoke: the partitioned replay through the shared disk
 # queue at 1, 4, and 8 lanes. One lane must serve inline (the private
 # model nested exactly); 4 and 8 lanes exercise the event-merged
-# dispatch gate end to end from the command line.
+# dispatch gate end to end from the command line, and the last line
+# streams the 8-lane replay through the same queue.
 bench-contention:
 	$(GO) run ./cmd/tracebench -app Parallel -workers 1 -concurrent -shards 8 -disk-queue shared -sched sstf
 	$(GO) run ./cmd/tracebench -app Parallel -workers 4 -concurrent -shards 8 -disk-queue shared -sched sstf
 	$(GO) run ./cmd/tracebench -app Parallel -workers 8 -concurrent -shards 8 -disk-queue shared -sched sstf
+	$(GO) run ./cmd/tracebench -app Parallel -workers 8 -stream -shards 8 -disk-queue shared -sched sstf
 
 # Trace-pipeline smoke: the v2 encode/decode/replay benchmarks run once
 # (records/sec, bytes/record, 0 allocs/record), then the out-of-core
@@ -138,7 +140,8 @@ distfault-smoke:
 # Simulated-output identity against another revision: builds the
 # simulators at REV and from the working tree under .bench_build/sim-diff/,
 # runs the fidelity command list (paper tables, the bench-contention,
-# bench-faults and bench-avail lines, webbench tables,
+# bench-faults and bench-avail lines, the streamed and Mixed replay
+# lines, webbench tables,
 # examples/distributed, benchjson's simulated rows) with both builds, and
 # diffs every output; any difference fails the target. It compares two
 # revisions, so `make ci` does not run it. Usage: make sim-diff REV=HEAD~

@@ -59,12 +59,11 @@
 // host bandwidth differences. A baseline missing a guarded row (an
 // older report format) skips that row with a note.
 //
-// The worker_scaling simulated quantities are deterministic run to run
-// (each lane is a pure function of its worker's record sequence).
-// wall_ns and the hot-path ns/op vary with the host, and
-// writeback_batches / writeback_horizon_ns depend on when the flusher
-// goroutines wake relative to the writers, so they can differ across
-// hosts too.
+// The simulated quantities — worker_scaling's and the write-back
+// ablation's writeback_batches / writeback_horizon_ns included — are
+// deterministic run to run: replay lanes step in virtual-time order and
+// write-back drains inline on the operation that crosses the threshold.
+// wall_ns and the hot-path ns/op vary with the host.
 package main
 
 import (

@@ -41,7 +41,7 @@ func main() {
 		tables     = flag.Bool("tables", false, "regenerate the paper's Tables 1-4 and exit")
 		perReq     = flag.Bool("requests-detail", false, "print per-request rows")
 		concurrent = flag.Bool("concurrent", false, "replay with one goroutine per traced process")
-		stream     = flag.Bool("stream", false, "replay out of core: decode records straight off the trace stream into per-process worker queues (implies concurrent; private disk-queue mode only)")
+		stream     = flag.Bool("stream", false, "replay out of core: decode records straight off the trace stream into per-process lookahead queues (implies concurrent)")
 		dump       = flag.Bool("dump", false, "print the trace in text form instead of replaying")
 		paced      = flag.Bool("paced", false, "honour the trace's wall-clock stamps as think time")
 		sweep      = flag.Bool("sweep", false, "replay concurrently at shard counts 1,2,4,...,auto and report scaling")
@@ -213,9 +213,9 @@ func main() {
 			rep.WorkerTime, float64(rep.WorkerTime)/float64(rep.Elapsed))
 	}
 	if fs, ok := store.(*fsim.FileStore); ok && fs.Cache().WritebackEnabled() {
-		// Quiesce the flushers before reading their counters: serial
-		// replay does not settle on its own, and in-flight drains would
-		// otherwise race the print (and leave sub-threshold residue dirty).
+		// Settle before reading the write-back counters: serial replay
+		// does not settle on its own, and would leave sub-threshold
+		// residue dirty.
 		fs.Settle()
 		st := fs.Cache().Stats()
 		horizon := time.Duration(0)

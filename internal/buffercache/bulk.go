@@ -271,7 +271,7 @@ func (c *Cache) installRange(io *IO, now time.Time, first, last int64, dirty, pr
 			horizon = h
 		}
 		if dirtied {
-			c.maybeSignalWriteback(si, dc, at)
+			c.maybeWriteback(si, dc, at)
 		}
 		page = runEnd + 1
 	}
@@ -470,7 +470,7 @@ func (c *Cache) WriteIO(io *IO, now time.Time, offset, length int64) (time.Time,
 			done = horizon // eviction write-back stalled us
 		}
 		if dirtied {
-			c.maybeSignalWriteback(si, dc, done)
+			c.maybeWriteback(si, dc, done)
 			if c.cfg.WritebackHighwater > 0 && dc >= c.cfg.WritebackHighwater {
 				done = c.stallHighwater(si, done)
 			}

@@ -51,7 +51,6 @@ func runOps(t *testing.T, cfg Config, ops []cacheOp, pageGranular bool) (time.Ti
 	p := simdisk.DefaultParams()
 	p.Capacity = 1 << 30
 	c := MustNew(cfg, simdisk.MustNew(p))
-	defer c.Close()
 	c.SetPageGranular(pageGranular)
 	now := time.Unix(0, 0)
 	for i, op := range ops {
@@ -97,10 +96,11 @@ func TestBulkMatchesPageGranular(t *testing.T) {
 				cfg.PrefetchPages = variant.prefetch
 				cfg.Shards = shards
 				if variant.highwater > 0 {
-					// An unreachable threshold keeps the flusher goroutines
-					// idle, so the only drains are the deterministic
-					// synchronous high-water stalls — both paths must charge
-					// them at the same shard-run boundaries.
+					// An unreachable threshold leaves the high-water stalls
+					// as the only drains (the threshold drains fire per page
+					// on one path and per shard run on the other) — both
+					// paths must charge them at the same shard-run
+					// boundaries.
 					cfg.WritebackThreshold = 1 << 30
 					cfg.WritebackHighwater = variant.highwater
 				}

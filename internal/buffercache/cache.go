@@ -95,11 +95,10 @@ type Config struct {
 	// reproduces the original global-mutex cache bit for bit.
 	Shards int
 	// WritebackThreshold enables background write-back: when a stripe's
-	// dirty set reaches this many pages, the stripe's flusher goroutine
-	// drains it through the backend's command queue on the stripe's own
-	// virtual-time lane. Zero (the default) disables write-back: dirty
-	// pages wait for eviction or an explicit flush, the paper's
-	// flush-on-close behavior.
+	// dirty set reaches this many pages, the stripe drains it at once
+	// through the write-back disk view, on the stripe's own virtual-time
+	// lane. Zero (the default) disables write-back: dirty pages wait for
+	// eviction or an explicit flush, the paper's flush-on-close behavior.
 	WritebackThreshold int
 	// WritebackBatch caps how many pages one drain submits to the disk
 	// queue; zero means the whole dirty set.
@@ -190,8 +189,8 @@ type Stats struct {
 	PrefetchHits       int64 // hits on pages that read-ahead brought in
 	Evictions          int64
 	DirtyFlushes       int64 // pages written back (eviction, Flush, or write-back)
-	WritebackPages     int64 // pages retired by the background flushers
-	WritebackBatches   int64 // scheduled drains the flushers submitted
+	WritebackPages     int64 // pages retired by background write-back
+	WritebackBatches   int64 // scheduled batches the drains submitted
 	WritebackThrottles int64 // foreground writes stalled at the dirty high-water mark
 	BytesFromDisk      int64
 	BytesToDisk        int64
@@ -344,12 +343,12 @@ type Cache struct {
 	// identical timing and statistics.
 	pageGranular bool
 
-	// wb is the background write-back subsystem; nil when disabled.
+	// wb holds each stripe's write-back state; nil when disabled.
 	// wbBackend is the disk view its drains are timed against — the
 	// cache's own backend unless SetWritebackBackend installed a private
 	// view (fsim does, so background flushing never perturbs foreground
 	// disk timing: the lanes are independent by construction).
-	wb        *writeback
+	wb        []wbStripe
 	wbBackend simdisk.Port
 }
 
@@ -390,28 +389,19 @@ func New(cfg Config, backend simdisk.Port) (*Cache, error) {
 		c.pool = append(c.pool, &frame{page: -1})
 	}
 	if cfg.WritebackThreshold > 0 {
-		c.wb = newWriteback(c)
+		c.wb = make([]wbStripe, len(c.shards))
 	}
 	return c, nil
 }
 
 // SetWritebackBackend installs the disk view background write-back is
 // timed against. Call it once right after New, before any traffic:
-// giving the flushers their own view keeps foreground disk timing
-// deterministic — background drains overlap the foreground instead of
-// queueing on its busy horizon.
+// giving write-back its own view keeps foreground disk timing
+// independent of it — background drains overlap the foreground instead
+// of queueing on its busy horizon.
 func (c *Cache) SetWritebackBackend(be simdisk.Port) {
 	if be != nil {
 		c.wbBackend = be
-	}
-}
-
-// Close stops the background flusher goroutines, if any. A cache built
-// without write-back has nothing to stop; Close is then a no-op, so it
-// is always safe (and idempotent) to call.
-func (c *Cache) Close() {
-	if c.wb != nil {
-		c.wb.stopAll()
 	}
 }
 

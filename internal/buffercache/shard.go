@@ -353,9 +353,9 @@ func (c *Cache) isResident(page int64) bool {
 // completion horizon of any dirty write-back performed (== now when
 // nothing had to be written back). When count is set the lookup is
 // charged to the shard's hit/miss counters, as the write path requires.
-// Dirtying a page past the write-back threshold signals the shard's
-// background flusher. Part of the retained page-granular reference
-// path; the bulk path uses installRun.
+// Dirtying a page past the write-back threshold drains the shard. Part
+// of the retained page-granular reference path; the bulk path uses
+// installRun.
 func (c *Cache) installPage(io *IO, now time.Time, page int64, dirty, prefetched, count bool) (fresh, dirtied bool, horizon time.Time) {
 	si := c.shardIndex(page)
 	s := c.shards[si]
@@ -376,7 +376,7 @@ func (c *Cache) installPage(io *IO, now time.Time, page int64, dirty, prefetched
 			s.lru.moveToFront(f)
 			s.mu.Unlock()
 			if dirtied {
-				c.maybeSignalWriteback(si, dirtyCount, now)
+				c.maybeWriteback(si, dirtyCount, now)
 			}
 			return false, dirtied, horizon
 		}
@@ -416,7 +416,7 @@ func (c *Cache) installPage(io *IO, now time.Time, page int64, dirty, prefetched
 			dirtyCount := s.dirty
 			s.mu.Unlock()
 			if dirty {
-				c.maybeSignalWriteback(si, dirtyCount, now)
+				c.maybeWriteback(si, dirtyCount, now)
 			}
 			return true, dirtied, horizon
 		}

@@ -22,13 +22,11 @@ func TestWritebackDisabledByDefault(t *testing.T) {
 	if c.WritebackEnabled() {
 		t.Fatal("default config enabled write-back")
 	}
-	// Close and Quiesce are safe no-ops without write-back.
+	// Quiesce is a no-op without write-back.
 	now := time.Unix(0, 0)
 	if got := c.Quiesce(now); !got.Equal(now) {
 		t.Fatalf("Quiesce without write-back = %v, want now", got)
 	}
-	c.Close()
-	c.Close()
 }
 
 func TestWritebackDrainsDirtySetInBackground(t *testing.T) {
@@ -36,23 +34,17 @@ func TestWritebackDrainsDirtySetInBackground(t *testing.T) {
 	cfg := wbConfig(8, simdisk.SSTF)
 	cfg.WritebackBatch = 4 // several scheduled batches per drain
 	c := MustNew(cfg, disk)
-	defer c.Close()
 
 	now := time.Unix(0, 0)
 	// Dirty well past the per-stripe threshold.
 	for i := int64(0); i < 128; i++ {
 		now, _ = c.Write(now, i*c.cfg.PageSize, c.cfg.PageSize)
 	}
-	// The flushers run on their own goroutines; wait for the signal-driven
-	// drains to retire the bulk of the dirty set.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().WritebackPages == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flushers retired no pages")
-		}
-		time.Sleep(time.Millisecond)
+	// Every stripe crossed the threshold, so the writes drained inline.
+	if c.Stats().WritebackPages == 0 {
+		t.Fatal("threshold crossings retired no pages")
 	}
-	// Quiesce retires everything that remains, deterministically.
+	// Quiesce retires everything that remains.
 	c.Quiesce(now)
 	if got := c.DirtyPages(); got != 0 {
 		t.Fatalf("%d dirty pages survived Quiesce", got)
@@ -77,11 +69,10 @@ func TestWritebackDrainsDirtySetInBackground(t *testing.T) {
 
 // TestWritebackChargesBackgroundLanesNotCaller pins the core contract:
 // with write-back on, dirtying pages costs the writer only memory-copy
-// time; the disk time lands on the flushers' lanes.
+// time; the disk time lands on the stripes' write-back lanes.
 func TestWritebackChargesBackgroundLanesNotCaller(t *testing.T) {
 	disk := simdisk.MustNew(simdisk.MemoryBackedParams())
 	c := MustNew(wbConfig(4, simdisk.SCAN), disk)
-	defer c.Close()
 
 	// An identical cache without write-back, flushed in the foreground.
 	ref := MustNew(wbConfig(0, simdisk.FCFS), simdisk.MustNew(simdisk.MemoryBackedParams()))
@@ -132,7 +123,6 @@ func TestWritebackFeedsArrivalOrder(t *testing.T) {
 	cfg := wbConfig(1<<30, simdisk.FCFS) // threshold unreachable: we drain
 	cfg.Shards = 1                       // one stripe so one queue holds the whole order
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
-	defer c.Close()
 	rec := &recordingBackend{Port: simdisk.MustNew(simdisk.MemoryBackedParams())}
 	c.SetWritebackBackend(rec)
 
@@ -170,11 +160,10 @@ func TestWritebackFeedsArrivalOrder(t *testing.T) {
 // completion horizon, and the dirty set is empty afterwards. Below the
 // mark, writers are never stalled.
 func TestWritebackHighwaterStallsWriter(t *testing.T) {
-	cfg := wbConfig(1<<30, simdisk.SSTF) // flushers never self-trigger
+	cfg := wbConfig(1<<30, simdisk.SSTF) // thresholds never trigger a drain
 	cfg.Shards = 1
 	cfg.WritebackHighwater = 8
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
-	defer c.Close()
 
 	now := time.Unix(0, 0)
 	var fast time.Duration
@@ -243,14 +232,13 @@ func TestWritebackHighwaterValidation(t *testing.T) {
 func TestWritebackQuiesceDeterministic(t *testing.T) {
 	run := func() (time.Time, Stats) {
 		c := MustNew(wbConfig(1<<30, simdisk.SSTF), simdisk.MustNew(simdisk.MemoryBackedParams()))
-		defer c.Close()
 		now := time.Unix(0, 0)
 		for i := int64(0); i < 64; i++ {
 			off := (i * 7 % 64) * c.cfg.PageSize
 			now, _ = c.Write(now, off, c.cfg.PageSize)
 		}
-		// Threshold is unreachable, so no background drain raced: Quiesce
-		// does all the work on the write-back lanes.
+		// Threshold is unreachable, so Quiesce does all the work on the
+		// write-back lanes.
 		return c.Quiesce(now), c.Stats()
 	}
 	h1, s1 := run()
@@ -274,7 +262,6 @@ func TestWritebackQueueDoesNotLeakStaleEntries(t *testing.T) {
 	cfg := wbConfig(1<<30, simdisk.FCFS) // threshold unreachably high: no drain ever fires
 	cfg.Shards = 1
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
-	defer c.Close()
 	cfg.WriteBehind = true
 	c.cfg.WriteBehind = true
 
@@ -298,7 +285,7 @@ func TestWritebackQueueDoesNotLeakStaleEntries(t *testing.T) {
 	}
 
 	// A drain on an all-stale queue (want == 0) must trim it completely.
-	c.wb.drainShard(0, now)
+	c.drainShard(0, now)
 	s.mu.Lock()
 	qlen = len(s.dirtyOrder)
 	s.mu.Unlock()
@@ -318,7 +305,6 @@ func TestWritebackCleanThenRedirtyEnqueuesAtTail(t *testing.T) {
 	cfg.Shards = 1
 	cfg.WriteBehind = true
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
-	defer c.Close()
 	rec := &recordingBackend{Port: simdisk.MustNew(simdisk.MemoryBackedParams())}
 	c.SetWritebackBackend(rec)
 
@@ -342,5 +328,42 @@ func TestWritebackCleanThenRedirtyEnqueuesAtTail(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("batch %v, want %v (re-dirtied page kept its stale position)", got, want)
 		}
+	}
+}
+
+// nopPort serves every request instantly and allocates nothing.
+type nopPort struct{}
+
+func (nopPort) Access(now time.Time, _ simdisk.Request) (time.Time, time.Duration) { return now, 0 }
+func (nopPort) AccessRun(now time.Time, _ simdisk.Run) (time.Time, time.Duration)  { return now, 0 }
+func (nopPort) ServeBatch(now time.Time, _ []simdisk.Request, _ simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time) {
+	return nil, now
+}
+
+// TestWritebackDrainZeroAllocs pins the drain scratch reuse: the write
+// that crosses the threshold drains its stripe inline, and with a
+// write-back port that allocates nothing the whole drain allocates
+// nothing either.
+func TestWritebackDrainZeroAllocs(t *testing.T) {
+	cfg := wbConfig(8, simdisk.SSTF)
+	cfg.Shards = 1
+	c := MustNew(cfg, nopPort{})
+	now := time.Unix(0, 0)
+	page := int64(0)
+	writes := func() { // eight pages: the eighth crosses the threshold
+		for i := 0; i < 8; i++ {
+			now, _ = c.Write(now, page*cfg.PageSize, cfg.PageSize)
+			page = (page + 1) % 64
+		}
+	}
+	for i := 0; i < 8; i++ {
+		writes() // install the pages and grow the scratch
+	}
+	before := c.Stats().WritebackBatches
+	if allocs := testing.AllocsPerRun(100, writes); allocs != 0 {
+		t.Fatalf("threshold-crossing writes allocate %.1f objects per drain, want 0", allocs)
+	}
+	if got := c.Stats().WritebackBatches - before; got != 101 {
+		t.Fatalf("%d drains in 101 threshold crossings", got)
 	}
 }

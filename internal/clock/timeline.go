@@ -7,7 +7,7 @@ import (
 
 // Timeline is a set of virtual-clock lanes that together model a
 // parallel machine's simulated time. Each concurrent actor — a replay
-// worker, a server connection, a background flusher — advances its own
+// worker, a server connection, a stripe's write-back — advances its own
 // lane independently; the timeline merges them with max-over-lanes, the
 // overlap rule: work on different lanes happens at the same simulated
 // time, so the aggregate elapsed time of a parallel run is the longest

@@ -398,14 +398,14 @@ func (s *FileStore) Clock() *clock.VirtualClock { return s.clk }
 // simulated time across the default lane and every session.
 func (s *FileStore) Timeline() *clock.Timeline { return s.tl }
 
-// Close stops the cache's background flusher goroutines, if write-back
-// is enabled. It is safe to call multiple times and never required for
-// stores built without write-back.
-func (s *FileStore) Close() { s.cache.Close() }
+// Close releases the store. Write-back drains inline on the simulated
+// operations, so a store runs no background work and Close has nothing
+// left to stop; it stays so callers can release stores uniformly.
+func (s *FileStore) Close() {}
 
 // Settle ends a (possibly parallel) run: it merges every lane, then
 // retires whatever dirty pages remain. With background write-back the
-// residue drains through the flushers' own lanes — the disk work happens
+// residue drains through the write-back lanes — the disk work happens
 // off the critical path, so no foreground time is charged and the settle
 // duration is zero; the horizon is visible via Cache().WritebackHorizon.
 // Without write-back the residue is flushed as one deterministic

@@ -75,17 +75,23 @@ func (s *FileStore) beginRebuild(failed int) (*memberRebuild, error) {
 // SparePool exposes the hot-spare pool (nil when Config.Spares is zero).
 func (s *FileStore) SparePool() *simdisk.SparePool { return s.spares }
 
-// run drives the whole copy on the rebuild's own lane: each block's
+// step copies the member's next block on the rebuild's own lane: its
 // reconstruction read flows through the store's disk path (contending
 // in the shared queue when one is configured) and its spare write
-// chains after. It records the simulated completion time and parks the
-// lane, so a finished rebuild never gates the event merge.
-func (r *memberRebuild) run() {
-	r.end = r.rb.Run(r.clk.Now(), r.port)
-	r.clk.Set(r.end)
-	if r.lane != nil {
-		r.lane.Park()
+// chains after. Once no block remains it records the completion time,
+// parks the queue lane so a finished rebuild never gates the event
+// merge, and reports false.
+func (r *memberRebuild) step() bool {
+	done, ok := r.rb.Step(r.clk.Now(), r.port)
+	if !ok {
+		r.end = done
+		if r.lane != nil {
+			r.lane.Park()
+		}
+		return false
 	}
+	r.clk.Set(done)
+	return true
 }
 
 // release retires the rebuild's queue lane from the merge and its clock
@@ -119,7 +125,8 @@ type RebuildMemberResult struct {
 //
 // Lifecycle: BeginRebuilds before foreground workers start (the lanes
 // must join the merge at a deterministic point), Run concurrently with
-// them (it blocks until every copy completes on simulated time), and
+// them (it blocks until every copy completes on simulated time) or step
+// its Lanes alongside them, and
 // Finish only after foreground lanes quiesce — promotion heals the
 // members in place, and doing it mid-run would make subsequent timings
 // depend on wall-clock interleaving.
@@ -164,32 +171,69 @@ func (s *FileStore) BeginRebuilds(members []int) (*RebuildSet, error) {
 	return rs, nil
 }
 
-// Run drives every member's copy and returns the latest completion
-// time. In shared disk-queue mode the rebuilds run on concurrent
-// goroutines — each lane must keep advancing or the conservative event
-// merge would wait on the idle ones — and the event-merged dispatch
-// keeps the result deterministic. In private-view mode they run
-// back to back on the wall clock instead: all start at the same virtual
-// instant on their own lanes and contend for the survivors' busy
-// horizons in a fixed order, so the merged timings stay a pure function
-// of the configuration.
-func (rs *RebuildSet) Run() time.Time {
-	var end time.Time
-	if rs.store.queue != nil {
-		var wg sync.WaitGroup
-		for _, r := range rs.rebuilds {
-			wg.Add(1)
-			go func(r *memberRebuild) {
-				defer wg.Done()
-				r.run()
-			}(r)
+// RebuildLane is a share of a RebuildSet's copies that a driver steps
+// a block at a time alongside foreground sessions: one member in shared
+// disk-queue mode, where the conservative event merge needs every queue
+// lane advancing; all members back to back in private-view mode, each
+// from the same virtual start on its own clock, so they contend for the
+// survivors' busy horizons in a fixed order.
+type RebuildLane struct{ members []*memberRebuild }
+
+// Lanes splits the set into its lanes.
+func (rs *RebuildSet) Lanes() []*RebuildLane {
+	var lanes []*RebuildLane
+	for i, r := range rs.rebuilds {
+		if i == 0 || rs.store.queue != nil {
+			lanes = append(lanes, &RebuildLane{})
 		}
-		wg.Wait()
-	} else {
-		for _, r := range rs.rebuilds {
-			r.run()
+		l := lanes[len(lanes)-1]
+		l.members = append(l.members, r)
+	}
+	return lanes
+}
+
+// Now is the clock of the member the lane is copying (its last member
+// once it has finished).
+func (l *RebuildLane) Now() time.Time { return l.members[0].clk.Now() }
+
+// Step copies the lane's next block and reports false once every
+// member of the lane has finished.
+func (l *RebuildLane) Step() bool {
+	for !l.members[0].step() {
+		if len(l.members) == 1 {
+			return false
+		}
+		l.members = l.members[1:]
+	}
+	return true
+}
+
+// SetWait passes wait to the lane's shared-queue lanes (see
+// sharedq.Lane.SetWait); a no-op in private-view mode.
+func (l *RebuildLane) SetWait(wait func(served func() bool)) {
+	for _, r := range l.members {
+		if r.lane != nil {
+			r.lane.SetWait(wait)
 		}
 	}
+}
+
+// Run drives every lane's copy to completion, each lane on its own
+// goroutine, and returns the latest completion time. The shared
+// queue's event-merged dispatch (or, in private-view mode, the single
+// lane's fixed order) keeps the result deterministic.
+func (rs *RebuildSet) Run() time.Time {
+	var wg sync.WaitGroup
+	for _, l := range rs.Lanes() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l.Step() {
+			}
+		}()
+	}
+	wg.Wait()
+	var end time.Time
 	for _, r := range rs.rebuilds {
 		end = clock.MaxTime(end, r.end)
 	}
@@ -217,8 +261,8 @@ func (rs *RebuildSet) Elapsed() time.Duration {
 }
 
 // Finish promotes every spare into its member and records the
-// per-member results. Call only after Run returned and foreground lanes
-// quiesced.
+// per-member results. Call only after every copy completed and
+// foreground lanes quiesced.
 func (rs *RebuildSet) Finish() error {
 	if rs.results != nil {
 		return nil

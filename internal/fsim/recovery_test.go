@@ -18,7 +18,6 @@ func TestRetryBackoffBilling(t *testing.T) {
 	cfg.Inject = InjectSpec{Seed: 7, Rate: 1, Budget: 2}
 	cfg.Retry = RetryPolicy{Max: 3, Base: time.Millisecond}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.Create("f", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,6 @@ func TestRetryExhaustionFails(t *testing.T) {
 	cfg.Inject = InjectSpec{Seed: 1, Rate: 1}
 	cfg.Retry = RetryPolicy{Max: 2, Base: time.Millisecond}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.Create("f", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,6 @@ func TestPermanentFaultSkipsRetries(t *testing.T) {
 	cfg.Inject = InjectSpec{Seed: 3, Rate: 1, Permanent: 1, Budget: 1}
 	cfg.Retry = RetryPolicy{Max: 5, Base: time.Millisecond}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.Create("f", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,6 @@ func TestDefaultSessionNeverInjects(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Inject = InjectSpec{Seed: 9, Rate: 1}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := store.Create("f", []byte("x")); err != nil {
 			t.Fatalf("default-lane create %d: %v", i, err)
@@ -137,7 +133,6 @@ func TestReleaseFoldsRecoveryStats(t *testing.T) {
 	cfg.Inject = InjectSpec{Seed: 7, Rate: 1, Budget: 1}
 	cfg.Retry = RetryPolicy{Max: 1, Base: time.Microsecond}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.Create("f", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +157,6 @@ func TestSessionInjectOpMask(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Inject = InjectSpec{Seed: 42, Rate: 1, Ops: MaskOf(OpWrite)}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.Create("f", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +186,6 @@ func TestStoreRebuild(t *testing.T) {
 	cfg.RAIDLevel = simdisk.RAID5
 	cfg.Faults = &simdisk.FaultPlan{Faults: []simdisk.Fault{{Disk: 1, Kind: simdisk.FaultDevice, At: 0}}}
 	store := MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.CreateSized("big", 1<<20); err != nil {
 		t.Fatal(err)
 	}

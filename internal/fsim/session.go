@@ -142,6 +142,16 @@ func (sess *Session) Idle() {
 	}
 }
 
+// SetWait passes wait to the session's shared-queue lane (see
+// sharedq.Lane.SetWait): a driver stepping every session on one
+// goroutine gets control back when a disk request must wait for other
+// sessions. A no-op in private mode, where nothing waits.
+func (sess *Session) SetWait(wait func(served func() bool)) {
+	if sess.lane != nil {
+		sess.lane.SetWait(wait)
+	}
+}
+
 // Clock exposes the session's lane.
 func (sess *Session) Clock() *clock.VirtualClock { return sess.clk }
 
@@ -465,7 +475,7 @@ func (f *simFile) SeekTo(offset int64, whence int) (int64, time.Duration, error)
 // the file's dirty pages on the caller's lane — closing is then always
 // at least CloseCost, and more when writes must be written back, the
 // close-slower-than-open effect of §3.4. With write-back enabled the
-// dirty pages are handed to the background flushers instead (an async
+// dirty pages are handed to background write-back instead (an async
 // close): the caller pays only CloseCost and the flush time lands on
 // the write-back lanes.
 func (f *simFile) Close() (time.Duration, error) {

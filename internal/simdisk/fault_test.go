@@ -295,9 +295,12 @@ func TestRebuildRowsAndFinish(t *testing.T) {
 		if err := rb.Finish(); err == nil {
 			t.Fatalf("Finish before completion should error")
 		}
-		end := rb.Run(faultEpoch, a)
+		end := faultEpoch
+		for next, ok := rb.Step(end, a); ok; next, ok = rb.Step(end, a) {
+			end = next
+		}
 		if !rb.Done() {
-			t.Fatalf("rebuild not done after Run")
+			t.Fatalf("rebuild not done after its last Step")
 		}
 		if !end.After(faultEpoch) {
 			t.Fatalf("rebuild consumed no simulated time")

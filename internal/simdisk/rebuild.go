@@ -156,21 +156,6 @@ func (r *Rebuild) Step(now time.Time, port Port) (done time.Time, ok bool) {
 	return done, true
 }
 
-// Run drives every remaining Step back to back on the simulated clock:
-// each block's spare write chains after its reconstruction read, and
-// the next read issues at the previous write's completion — a
-// sequential rebuild stream. It returns the final completion time.
-func (r *Rebuild) Run(now time.Time, port Port) time.Time {
-	t := now
-	for {
-		done, ok := r.Step(t, port)
-		if !ok {
-			return t
-		}
-		t = done
-	}
-}
-
 // Finish promotes the spare into the rebuilt member: the member's fault
 // state clears, its mechanical state (head position, busy horizon)
 // adopts the spare's, and the spare's statistics merge into the

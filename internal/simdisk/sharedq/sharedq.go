@@ -141,6 +141,7 @@ type Lane struct {
 	// a lane cannot submit more, so it never gates dispatch.
 	syncPending int
 	parked      bool
+	wait        func(served func() bool) // see SetWait
 }
 
 // opKind selects how an entry hits the device when dispatched.
@@ -328,10 +329,19 @@ func (l *Lane) AccessRunAsync(now time.Time, r simdisk.Run) time.Time {
 	return done
 }
 
+// SetWait installs the lane's wait hook, for drivers that step every
+// lane on one goroutine; call it before the lane's first submission. A
+// synchronous submission that cannot be served yet then calls wait,
+// with the queue unlocked, instead of blocking, until its entry is
+// served: served reports whether it has been, and the driver steps
+// other lanes meanwhile so the dispatch gate can open.
+func (l *Lane) SetWait(wait func(served func() bool)) { l.wait = wait }
+
 // submit is the one submission body behind the Lane methods. It clamps
 // the arrival, then either serves e inline (l is the sole lane and
 // nothing is pending) or enqueues it, runs the dispatch gate, and — for
-// a sync entry — waits until it is served. An async entry that had to
+// a sync entry — waits until it is served, through the lane's wait hook
+// when one is set. An async entry that had to
 // queue returns its arrival as the completion stand-in. e arrives by
 // value and is copied to the heap only when it is enqueued, so the
 // sole-lane path allocates nothing; a queued batch also takes its own
@@ -367,7 +377,17 @@ func (l *Lane) submit(now time.Time, e entry) (time.Time, time.Duration, []simdi
 		return p.arrival, 0, nil
 	}
 	for !p.served {
-		q.cond.Wait()
+		if l.wait == nil {
+			q.cond.Wait()
+			continue
+		}
+		q.mu.Unlock()
+		l.wait(func() bool {
+			q.mu.Lock()
+			defer q.mu.Unlock()
+			return p.served
+		})
+		q.mu.Lock()
 	}
 	return p.done, p.service, p.results
 }
@@ -411,10 +431,10 @@ func (q *Queue) dispatchLocked() {
 		if e.sync {
 			e.lane.syncPending--
 		}
-		// Async (write-back) submissions wait behind other lanes' work
-		// just like sync ones do — the delay lands on the flusher instead
-		// of a blocked reader, but it is contention all the same, so both
-		// kinds accrue. Inline sole-lane serves never queue and add
+		// Async submissions (eviction write-backs, readahead) wait behind
+		// other lanes' work just like sync ones do — no caller blocks on
+		// the delay, but it is contention all the same, so both kinds
+		// accrue. Inline sole-lane serves never queue and add
 		// nothing.
 		if w := e.done.Sub(e.arrival) - e.service; w > 0 {
 			q.stats.QueueDelay += w

@@ -49,6 +49,26 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestWaitHookReplacesBlocking drives two lanes from one goroutine: a
+// submission gated on the other lane hands control to the wait hook
+// instead of blocking, and returns once the other lane's progress lets
+// the queue serve it.
+func TestWaitHookReplacesBlocking(t *testing.T) {
+	q := MustNew(simdisk.MustNew(simdisk.MemoryBackedParams()), simdisk.FCFS)
+	a, b := q.NewLane(t0), q.NewLane(t0)
+	waits := 0
+	a.SetWait(func(served func() bool) {
+		if served() {
+			t.Fatal("wait hook called for a served entry")
+		}
+		waits++
+		b.Advance(t0.Add(time.Second)) // b moves past the decision time
+	})
+	if done, _ := a.Access(t0, simdisk.Request{Offset: 4096, Length: 4096}); waits != 1 || !done.After(t0) {
+		t.Fatalf("%d waits, done at %v", waits, done)
+	}
+}
+
 // TestSoleLaneMatchesBareDevice pins the inline fast path: with one
 // registered lane and nothing pending, every submission — blocking,
 // async, or batch — returns exactly what the bare device would, which is

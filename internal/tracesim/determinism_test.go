@@ -42,7 +42,6 @@ func determinismTrace(t *testing.T) *trace.Trace {
 func replayConcurrentOnce(t *testing.T, tr *trace.Trace) *Report {
 	t.Helper()
 	store := fsim.MustNewFileStore(determinismConfig())
-	defer store.Close()
 	rp := NewReplayer(store)
 	rp.SampleFileSize = 32 << 20
 	rep, err := rp.ReplayConcurrent("Parallel", tr)
@@ -57,17 +56,13 @@ func replayConcurrentOnce(t *testing.T, tr *trace.Trace) *Report {
 
 // TestReplayDeterministicSerialVsConcurrent is the simulated-parallel
 // determinism contract: the same trace replayed serially and with
-// ReplayConcurrent (8 shards, write-back on, one goroutine per worker)
+// ReplayConcurrent (8 shards, write-back on, one lane per worker)
 // yields identical merged reports across repeated runs — every latency
 // row bit-equal — and the two modes agree on the operation population.
-// CI runs this under -race, so the per-lane isolation it depends on is
-// also exercised as a memory-safety property.
 func TestReplayDeterministicSerialVsConcurrent(t *testing.T) {
 	tr := determinismTrace(t)
 
-	// Concurrent replay: repeated runs must be bit-identical even though
-	// goroutine interleaving differs — each worker's lane is a pure
-	// function of its own record sequence.
+	// Concurrent replay: repeated runs must be bit-identical.
 	first := replayConcurrentOnce(t, tr)
 	for run := 0; run < 2; run++ {
 		again := replayConcurrentOnce(t, tr)
@@ -80,7 +75,6 @@ func TestReplayDeterministicSerialVsConcurrent(t *testing.T) {
 	// Serial replay of the same trace is deterministic too.
 	serialOnce := func() *Report {
 		store := fsim.MustNewFileStore(determinismConfig())
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
 		rep, err := rp.Replay("Parallel", tr)
@@ -119,6 +113,55 @@ func TestReplayConcurrentSimulatedParallelTime(t *testing.T) {
 	if rep.WorkerTime < 2*rep.Elapsed {
 		t.Fatalf("simulated time still serialized: worker total %v vs elapsed %v (want >= 2x overlap)",
 			rep.WorkerTime, rep.Elapsed)
+	}
+}
+
+// TestReplayDeterministicOverlappingFootprints extends the contract to
+// processes that share pages (Mixed): the kernel steps lanes in
+// virtual-time order, so which process pays a shared page's miss, and
+// what eviction and write-back see, never depend on scheduling. Each
+// row replays 20 times in both disk-queue modes, bit-identically.
+func TestReplayDeterministicOverlappingFootprints(t *testing.T) {
+	p := tracegen.DefaultParams()
+	p.FileSize = 32 << 20
+	p.Requests = 256
+	p.Workers = 8
+	tr, err := tracegen.Mixed(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		mut  func(*fsim.Config)
+	}{
+		{"sharded", func(*fsim.Config) {}},
+		{"writeback-evicting", func(cfg *fsim.Config) {
+			cfg.Cache.WritebackThreshold = 8
+			cfg.Cache.NumPages = 512
+		}},
+	}
+	for _, row := range rows {
+		for _, mode := range []fsim.DiskQueueMode{fsim.DiskQueuePrivate, fsim.DiskQueueShared} {
+			t.Run(row.name+"/"+mode.String(), func(t *testing.T) {
+				var first *Report
+				for run := 1; run <= 20; run++ {
+					cfg := fsim.ShardedConfig()
+					row.mut(&cfg)
+					cfg.DiskQueue = mode
+					rp := NewReplayer(fsim.MustNewFileStore(cfg))
+					rp.SampleFileSize = p.FileSize
+					rep, err := rp.ReplayConcurrent("Mixed", tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = rep
+					} else if !reflect.DeepEqual(first, rep) {
+						t.Fatalf("run %d diverged:\nfirst: %+v\nagain: %+v", run, summary(first), summary(rep))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -52,7 +52,6 @@ func TestReplayBulkMatchesPageGranular(t *testing.T) {
 	tr := mixedTrace(t)
 	run := func(pageGranular bool) (*Report, buffercache.Stats, int, int) {
 		store := equivalenceStore(t, 1, pageGranular)
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 64 << 20
 		rep, err := rp.Replay("Mixed", tr)
@@ -90,7 +89,6 @@ func TestConcurrentReplayBulkMatchesPageGranular(t *testing.T) {
 	tr := determinismTrace(t)
 	run := func(pageGranular bool) *Report {
 		store := fsim.MustNewFileStore(determinismConfig())
-		defer store.Close()
 		store.Cache().SetPageGranular(pageGranular)
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20

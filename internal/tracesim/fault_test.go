@@ -77,7 +77,6 @@ func TestConcurrentReplaysPositionImplicitOpenFault(t *testing.T) {
 		cfg := fsim.DefaultConfig()
 		cfg.Inject = fsim.InjectSpec{Rate: 1, Permanent: 1, Ops: fsim.MaskOf(fsim.OpOpen)}
 		store := fsim.MustNewFileStore(cfg)
-		t.Cleanup(func() { store.Close() })
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 1 << 20
 		return rp

@@ -1,13 +1,9 @@
 package tracesim
 
 import (
-	"fmt"
-	"os"
-	"reflect"
 	"sort"
 	"testing"
 
-	"repro/internal/fsim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
@@ -58,17 +54,13 @@ func footprints(tr *trace.Trace) []pidRange {
 	return out
 }
 
-// TestMixedFootprintsOverlapParallelDoNot pins the root cause of the
-// known Mixed per-request-row run-to-run variation: Mixed's processes
-// read overlapping regions of the one sample file through the one
-// shared page cache, so which worker pays a shared page's cold miss —
-// and which gets the warm hit — depends on goroutine scheduling, a
-// wall-clock order the simulator does not control. Parallel's workers
-// read disjoint regions, which is why its concurrent replay IS
-// bit-identical (TestReplayDeterministicSerialVsConcurrent) while
-// Mixed's per-request rows are interleaving-dependent. This test makes
-// the structural difference explicit so the asymmetry in the
-// determinism contract is pinned, not folklore.
+// TestMixedFootprintsOverlapParallelDoNot shows that the Mixed rows of
+// TestReplayDeterministicOverlappingFootprints are not trivial: Mixed's
+// processes read overlapping regions of the one sample file through the
+// one shared page cache, so which worker pays a shared page's cold
+// miss — and which gets the warm hit — depends on the order the lanes
+// reach the cache, while Parallel's workers read disjoint regions and
+// cannot observe that order at all.
 func TestMixedFootprintsOverlapParallelDoNot(t *testing.T) {
 	p := tracegen.DefaultParams()
 	p.FileSize = 32 << 20
@@ -96,69 +88,6 @@ func TestMixedFootprintsOverlapParallelDoNot(t *testing.T) {
 		}
 	}
 	if overlapping < 2 {
-		t.Fatalf("Mixed PIDs no longer share file regions (%d overlapping); if the workload changed, revisit the Mixed determinism caveat", overlapping)
-	}
-}
-
-// TestMixedReplayReproducer is the skipped-by-default reproducer for
-// the Mixed caveat: run it with TRACESIM_MIXED_REPRO=1 (ideally with
-// -count > 1) to observe concurrent Mixed replays whose per-request
-// rows differ run to run. Even when rows diverge, the data path must
-// agree: every run executes the same operation population and byte
-// volume — only the attribution of shared-page cold misses moves
-// between workers. That containment is asserted; row divergence itself
-// is reported, not failed, because it is scheduler-dependent and a
-// quiet host may legitimately not reproduce it.
-func TestMixedReplayReproducer(t *testing.T) {
-	if os.Getenv("TRACESIM_MIXED_REPRO") == "" {
-		t.Skip("set TRACESIM_MIXED_REPRO=1 to run the Mixed nondeterminism reproducer")
-	}
-	p := tracegen.DefaultParams()
-	p.FileSize = 32 << 20
-	p.Requests = 256
-	p.Workers = 8
-	tr, err := tracegen.Mixed(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runOnce := func() *Report {
-		// The sharded default config, warm-on-open included — the
-		// configuration the caveat was observed under. (With
-		// WarmPagesOnOpen disabled, determinismConfig's replay has shown
-		// no divergence; the warm-on-open path is the widest window.)
-		store := fsim.MustNewFileStore(fsim.ShardedConfig())
-		defer store.Close()
-		rp := NewReplayer(store)
-		rp.SampleFileSize = p.FileSize
-		rep, err := rp.ReplayConcurrent("Mixed", tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	first := runOnce()
-	diverged := false
-	for run := 0; run < 10 && !diverged; run++ {
-		again := runOnce()
-		if again.TotalRequests != first.TotalRequests ||
-			again.Read.N() != first.Read.N() ||
-			again.Write.N() != first.Write.N() ||
-			again.Seek.N() != first.Seek.N() {
-			t.Fatalf("Mixed replay changed its operation population run to run — that is a real bug, not the timing caveat: %+v vs %+v",
-				summary(first), summary(again))
-		}
-		if !reflect.DeepEqual(first.Requests, again.Requests) {
-			diverged = true
-			for i := range first.Requests {
-				if first.Requests[i] != again.Requests[i] {
-					t.Logf("reproduced: request row %d differs (%s)", i+1,
-						fmt.Sprintf("%+v vs %+v", first.Requests[i], again.Requests[i]))
-					break
-				}
-			}
-		}
-	}
-	if !diverged {
-		t.Log("no per-request divergence in 10 runs on this host; the caveat is scheduler-dependent (try -count=10 under load)")
+		t.Fatalf("Mixed PIDs no longer share file regions (%d overlapping); the Mixed determinism rows lost their point", overlapping)
 	}
 }

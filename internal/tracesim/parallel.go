@@ -1,11 +1,11 @@
 package tracesim
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"maps"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/fsim"
@@ -21,58 +21,142 @@ type laneStore interface {
 	Settle() (time.Time, time.Duration)
 }
 
-// laneSet is what a concurrent replay holds across its lanes: the
-// store's session capability, one session per lane when it has one, and
-// the store's recovery tally taken before the first lane ran.
-type laneSet struct {
+// kernel is the one replay loop behind ReplayConcurrent and
+// ReplayStream. It runs every lane of a replay on the calling
+// goroutine: a lane is one traced process's replay on its own session
+// (or a member rebuild's copy), held as a coroutine. The kernel always
+// resumes the ready lane with the smallest virtual clock, ties going to
+// the lower key (the PID; rebuild lanes come after every process), so
+// the order in which lanes reach the shared cache and disk queue is a
+// function of simulated time alone, never of goroutine scheduling.
+type kernel struct {
 	store     fsim.Store
 	ls        laneStore // nil on stores without sessions
 	sessions  []*fsim.Session
 	rec       recoveryStore // nil on stores without recovery accounting
 	recBefore fsim.RecoveryStats
+	lanes     []*lane
 }
 
-func newLaneSet(store fsim.Store) *laneSet {
-	l := &laneSet{store: store}
-	l.ls, _ = store.(laneStore)
-	if l.rec, _ = store.(recoveryStore); l.rec != nil {
-		l.recBefore = l.rec.RecoveryStats()
+// lane is one coroutine of the kernel. A resume runs it to its next
+// yield: the end of a step (nil), or a synchronous shared-queue
+// submission that must wait (the queue's served predicate; the kernel
+// skips the lane until it reports true).
+type lane struct {
+	key    uint64
+	now    func() time.Time
+	at     time.Time // now() as of the lane's last yield
+	resume func() (func() bool, bool)
+	stop   func()
+	wait   func() bool
+	done   bool
+	err    error
+	rep    *Report   // nil for rebuild lanes
+	queue  *recQueue // ReplayStream's lookahead
+}
+
+// newKernel starts a replay on store, taking the store's recovery tally
+// before the first lane runs.
+func newKernel(store fsim.Store) *kernel {
+	k := &kernel{store: store}
+	k.ls, _ = store.(laneStore)
+	if k.rec, _ = store.(recoveryStore); k.rec != nil {
+		k.recBefore = k.rec.RecoveryStats()
 	}
+	return k
+}
+
+// start adds a lane whose coroutine installs its wait hook through
+// setWait (when non-nil) and runs body, which calls stepped after each
+// step and stops once stepped reports false.
+func (k *kernel) start(key uint64, now func() time.Time, setWait func(func(func() bool)), body func(stepped func() bool)) *lane {
+	l := &lane{key: key, now: now, at: now()}
+	l.resume, l.stop = iter.Pull(func(yield func(func() bool) bool) {
+		if setWait != nil {
+			setWait(func(served func() bool) { yield(served) })
+		}
+		body(func() bool { return yield(nil) })
+	})
+	k.lanes = append(k.lanes, l)
 	return l
 }
 
-// add opens one lane and returns the store it replays against: a new
-// session on a session-capable store, the shared store otherwise.
-func (l *laneSet) add() fsim.Store {
-	if l.ls == nil {
-		return l.store
+// addProcess opens process pid's lane, replaying recs into rep: on a new
+// session of a session-capable store, or on the shared store, ordered
+// by the lane's elapsed time.
+func (k *kernel) addProcess(rp *Replayer, pid uint32, rep *Report, sample string, recs iter.Seq[*trace.Record]) *lane {
+	st := k.store
+	now := func() time.Time { return time.Time{}.Add(rep.Elapsed) }
+	var setWait func(func(func() bool))
+	if k.ls != nil {
+		sess := k.ls.NewSession()
+		k.sessions = append(k.sessions, sess)
+		st, now, setWait = sess, sess.Clock().Now, sess.SetWait
 	}
-	sess := l.ls.NewSession()
-	l.sessions = append(l.sessions, sess)
-	return sess
+	var l *lane
+	l = k.start(uint64(pid), now, setWait, func(stepped func() bool) {
+		l.err = rp.replayLane(st, rep, sample, pid, recs, stepped)
+	})
+	l.rep = rep
+	return l
 }
 
-// release retires every lane's session; the lanes' final times fold
-// into the timeline, so repeated replays on one store do not accumulate
-// dead lanes.
-func (l *laneSet) release() {
-	for _, sess := range l.sessions {
+// step resumes l until its next yield.
+func (l *lane) step() {
+	w, ok := l.resume()
+	l.wait, l.done, l.at = w, !ok, l.now()
+}
+
+// ready reports whether l can be resumed: not finished, and not waiting
+// on an entry the shared queue has yet to serve.
+func (l *lane) ready() bool {
+	if l.wait != nil && l.wait() {
+		l.wait = nil
+	}
+	return !l.done && l.wait == nil
+}
+
+// next returns the ready lane to resume, or nil once every lane has
+// finished. A lane waits only behind the dispatch gate, which opens once
+// every other lane waits or has parked, so some lane is always ready.
+func (k *kernel) next() *lane {
+	var best *lane
+	for _, l := range k.lanes {
+		if l.ready() && (best == nil || l.at.Before(best.at) || l.at.Equal(best.at) && l.key < best.key) {
+			best = l
+		}
+	}
+	if best == nil && slices.ContainsFunc(k.lanes, func(l *lane) bool { return !l.done }) {
+		panic("tracesim: every lane waits on the shared disk queue")
+	}
+	return best
+}
+
+// release ends every lane's coroutine (a no-op for finished ones) and
+// retires its session; the lanes' final times fold into the timeline,
+// so repeated replays on one store do not accumulate dead lanes.
+func (k *kernel) release() {
+	for _, l := range k.lanes {
+		l.stop()
+	}
+	for _, sess := range k.sessions {
 		sess.Release()
 	}
 }
 
-// ReplayConcurrent replays a multi-process trace with one goroutine per
-// process id, each with its own file handle — the execution structure of
-// the traced parallel applications (Pgrep's four workers, §3.1). Records
-// keep their per-PID order; cross-PID interleaving is whatever the
-// scheduler produces, as it was on the original machine.
+// ReplayConcurrent replays a multi-process trace with one lane per
+// process id, each with its own file handle — the execution structure
+// of the traced parallel applications (Pgrep's four workers, §3.1).
+// Records keep their per-PID order; the kernel interleaves the
+// processes in virtual-time order, so the replay is deterministic even
+// where their footprints overlap in the shared cache.
 //
 // On a session-capable store each worker replays on its own
-// virtual-time lane with a private disk view, so the workers are
-// simulated-parallel, not just wall-parallel: the merged report's
-// Elapsed is the longest lane plus the final settle (max-over-workers,
-// the overlap rule), while WorkerTime keeps the summed view. The
-// aggregate report merges all processes.
+// virtual-time lane with a private disk view (or a lane into the shared
+// disk queue), so the workers are simulated-parallel: the merged
+// report's Elapsed is the longest lane plus the final settle
+// (max-over-workers, the overlap rule), while WorkerTime keeps the
+// summed view. The aggregate report merges all processes.
 func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -81,86 +165,68 @@ func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, 
 		return nil, fmt.Errorf("tracesim: preparing sample file: %w", err)
 	}
 
-	// Partition records by PID, preserving order.
+	// Partition records by PID, preserving order, and count each PID's
+	// request rows.
 	byPID := make(map[uint32][]*trace.Record)
+	rowsOf := make(map[uint32]int)
+	total := 0
 	for i := range tr.Records {
 		rec := &tr.Records[i]
 		byPID[rec.PID] = append(byPID[rec.PID], rec)
-	}
-	pids := slices.Sorted(maps.Keys(byPID))
-
-	// Register every worker's lane before any worker runs. Creating
-	// sessions inside the spawn loop races against the workers it has
-	// already started: a shared disk queue dispatches a sole registered
-	// lane inline and advances its queue edge, so under heavy host load
-	// an early worker could run ahead before later lanes joined — and a
-	// late lane floors at the advanced edge, shifting its timings.
-	// Pre-registering the full lane set keeps the merge a pure function
-	// of the trace.
-	l := newLaneSet(rp.store)
-	stores := make([]fsim.Store, len(pids))
-	for i := range pids {
-		stores[i] = l.add()
+		rowsOf[rec.PID] += dataOpRows(rec)
+		total += dataOpRows(rec)
 	}
 
-	// Requested member rebuilds join before the workers too, for the
-	// same reason: their lanes must be part of the merge from the start.
+	// Every lane appends its rows into its own window of one array, in
+	// PID order, so the merged rows need no copy.
+	rows := make([]RequestTiming, total)
+	k := newKernel(rp.store)
+	off := 0
+	for _, pid := range slices.Sorted(maps.Keys(byPID)) {
+		n := rowsOf[pid]
+		rep := &Report{Requests: rows[off : off : off+n]}
+		off += n
+		k.addProcess(rp, pid, rep, tr.Header.SampleFile, slices.Values(byPID[pid]))
+	}
+
+	// Requested member rebuilds join as lanes too, keyed after every
+	// process: the copies stream through the store's disk path alongside
+	// the foreground workers, so rebuild-vs-foreground contention lands
+	// in the merged timings.
 	var rb *fsim.RebuildSet
 	if len(rp.RebuildMembers) > 0 {
 		rs, ok := rp.store.(rebuildStore)
 		if !ok {
-			l.release()
+			k.release()
 			return nil, fmt.Errorf("tracesim: store %T cannot rebuild a member", rp.store)
 		}
 		var err error
 		if rb, err = rs.BeginRebuilds(rp.RebuildMembers); err != nil {
-			l.release()
+			k.release()
 			return nil, fmt.Errorf("tracesim: starting rebuild: %w", err)
 		}
-	}
-
-	var wg sync.WaitGroup
-	if rb != nil {
-		// The copies stream through the store's disk path alongside the
-		// foreground workers, so rebuild-vs-foreground contention lands in
-		// the merged timings.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rb.Run()
-		}()
-	}
-	reports := make([]*Report, len(pids))
-	errs := make([]error, len(pids))
-	for i, pid := range pids {
-		recs := byPID[pid]
-		reports[i] = &Report{Requests: make([]RequestTiming, 0, dataOps(recs))}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = rp.replayLane(stores[i], reports[i], tr.Header.SampleFile, pid, slices.Values(recs))
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			if rb != nil {
-				rb.Finish()
-			}
-			l.release()
-			return nil, err
+		for i, rl := range rb.Lanes() {
+			k.start(1<<32+uint64(i), rl.Now, rl.SetWait, func(stepped func() bool) {
+				for rl.Step() && stepped() {
+				}
+			})
 		}
 	}
-	return l.merge(appName, reports, 0, rb)
+
+	for l := k.next(); l != nil; l = k.next() {
+		l.step()
+	}
+	return k.merge(appName, rows, 0, rb)
 }
 
-// replayLane is the lane worker of both concurrent replays: it
-// executes one process's records, in order, against st (the lane's
-// session, or the shared store) into rep, and stops at the first error,
-// positioned by PID and the lane's record index. A lane whose first
-// data operation precedes its own open record inherits an implicit
-// open, as the shared-handle traces of the paper do.
-func (rp *Replayer) replayLane(st fsim.Store, rep *Report, sample string, pid uint32, recs iter.Seq[*trace.Record]) error {
+// replayLane is the body of a process lane in both concurrent replays:
+// it executes one process's records, in order, against st (the lane's
+// session, or the shared store) into rep, calling stepped after each
+// record (and returning once stepped reports false), and stops at the
+// first error, positioned by PID and the lane's record index. A lane
+// whose first data operation precedes its own open record inherits an
+// implicit open, as the shared-handle traces of the paper do.
+func (rp *Replayer) replayLane(st fsim.Store, rep *Report, sample string, pid uint32, recs iter.Seq[*trace.Record], stepped func() bool) error {
 	var f fsim.File
 	var buf []byte
 	defer func() {
@@ -199,25 +265,43 @@ func (rp *Replayer) replayLane(st fsim.Store, rep *Report, sample string, pid ui
 			rep.Elapsed += d
 		}
 		i++
+		if !stepped() {
+			break
+		}
 	}
 	return nil
 }
 
-// merge folds the lanes' reports, in PID order, into one report and
-// releases the lanes. Summaries merge and the request rows concatenate
+// merge folds the process lanes' reports, in PID order, into one
+// report and releases the lanes; it returns the first lane error, in
+// PID order, instead. Summaries merge, and the request rows are rows
+// when the lanes filled consecutive windows of it, or else concatenate
 // — or, when the lanes aggregated into reservoirs (reservoir > 0), the
 // histograms merge and the reservoirs thin to one reservoir-row sample.
 // rb's rebuilds, if any, finish once the foreground has quiesced, and
 // Elapsed follows the overlap rule.
-func (l *laneSet) merge(appName string, reports []*Report, reservoir int, rb *fsim.RebuildSet) (*Report, error) {
-	defer l.release()
+func (k *kernel) merge(appName string, rows []RequestTiming, reservoir int, rb *fsim.RebuildSet) (*Report, error) {
+	defer k.release()
+	slices.SortFunc(k.lanes, func(a, b *lane) int { return cmp.Compare(a.key, b.key) })
+	var reports []*Report
+	for _, l := range k.lanes {
+		if l.err != nil {
+			if rb != nil {
+				rb.Finish()
+			}
+			return nil, l.err
+		}
+		if l.rep != nil {
+			reports = append(reports, l.rep)
+		}
+	}
 	aggregate := reservoir > 0
-	merged := &Report{App: appName, SampledRequests: aggregate}
+	merged := &Report{App: appName, SampledRequests: aggregate, Requests: rows}
 	if aggregate {
 		merged.ReadHist = metrics.NewLatencyHistogram()
 		merged.WriteHist = metrics.NewLatencyHistogram()
 		merged.SeekHist = metrics.NewLatencyHistogram()
-	} else {
+	} else if rows == nil {
 		total := 0
 		for _, r := range reports {
 			total += len(r.Requests)
@@ -238,7 +322,7 @@ func (l *laneSet) merge(appName string, reports []*Report, reservoir int, rb *fs
 			merged.ReadHist.Merge(r.ReadHist)
 			merged.WriteHist.Merge(r.WriteHist)
 			merged.SeekHist.Merge(r.SeekHist)
-		} else {
+		} else if rows == nil {
 			merged.Requests = append(merged.Requests, r.Requests...)
 		}
 	}
@@ -250,10 +334,9 @@ func (l *laneSet) merge(appName string, reports []*Report, reservoir int, rb *fs
 		}
 	}
 	if rb != nil {
-		// The copies finished with the workers (Run was waited on);
-		// promote the spares now that the foreground has quiesced —
-		// swapping a member mid-replay would make dispatch order depend
-		// on wall-clock interleaving.
+		// The copies finished with the workers; promote the spares now
+		// that the foreground has quiesced — swapping a member mid-replay
+		// would change the disk the remaining lanes see.
 		merged.RebuildRows = rb.Rows()
 		merged.RebuildTime = rb.Elapsed()
 		if err := rb.Finish(); err != nil {
@@ -262,15 +345,15 @@ func (l *laneSet) merge(appName string, reports []*Report, reservoir int, rb *fs
 		merged.RebuildMembers = rb.Members()
 	}
 	merged.Elapsed = merged.WorkerTime
-	if l.ls != nil {
+	if k.ls != nil {
 		// Overlap rule: the parallel machine finishes with its slowest
 		// worker, then settles buffered writes (a deterministic elevator
-		// sweep, or the background flushers when write-back is on).
-		_, settle := l.ls.Settle()
+		// sweep, or the write-back lanes when write-back is on).
+		_, settle := k.ls.Settle()
 		merged.Elapsed = longest + settle
 	}
-	if l.rec != nil {
-		merged.Recovery = l.rec.RecoveryStats().Sub(l.recBefore)
+	if k.rec != nil {
+		merged.Recovery = k.rec.RecoveryStats().Sub(k.recBefore)
 	}
 	return merged, nil
 }

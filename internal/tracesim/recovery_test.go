@@ -61,7 +61,6 @@ func TestFaultInjectedReplayDeterministic(t *testing.T) {
 	tr := determinismTrace(t)
 	runOnce := func() *Report {
 		store := fsim.MustNewFileStore(faultedConfig())
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
 		rep, err := rp.ReplayConcurrent("Parallel", tr)
@@ -108,7 +107,6 @@ func TestRebuildingReplayDeterministic(t *testing.T) {
 			{Disk: 1, Kind: simdisk.FaultDevice, At: 0},
 		}}
 		store := fsim.MustNewFileStore(cfg)
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
 		rp.RebuildMembers = []int{1}
@@ -154,7 +152,6 @@ func TestMultiRebuildReplayDeterministic(t *testing.T) {
 			{Disk: 2, Kind: simdisk.FaultDevice, At: 0},
 		}}
 		store := fsim.MustNewFileStore(cfg)
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
 		rp.RebuildMembers = []int{1, 2}
@@ -206,7 +203,6 @@ func TestRebuildOverSparesFailsLoudly(t *testing.T) {
 		{Disk: 2, Kind: simdisk.FaultDevice, At: 0},
 	}}
 	store := fsim.MustNewFileStore(cfg)
-	defer store.Close()
 	if _, err := store.BeginRebuilds([]int{1, 2}); err == nil {
 		t.Fatalf("2 rebuilds over a 1-spare pool should error")
 	}
@@ -231,7 +227,6 @@ func TestDegradedReplayDataIntact(t *testing.T) {
 		cfg.RAIDLevel = simdisk.RAID5
 		cfg.Faults = plan
 		store := fsim.MustNewFileStore(cfg)
-		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
 		rep, err := rp.ReplayConcurrent("Parallel", tr)

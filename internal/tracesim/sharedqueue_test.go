@@ -23,7 +23,6 @@ func sharedQueueConfig(policy simdisk.SchedPolicy) fsim.Config {
 func replaySharedOnce(t *testing.T, tr *trace.Trace, policy simdisk.SchedPolicy) *Report {
 	t.Helper()
 	store := fsim.MustNewFileStore(sharedQueueConfig(policy))
-	defer store.Close()
 	rp := NewReplayer(store)
 	rp.SampleFileSize = 32 << 20
 	rep, err := rp.ReplayConcurrent("Parallel", tr)
@@ -40,10 +39,9 @@ func replaySharedOnce(t *testing.T, tr *trace.Trace, policy simdisk.SchedPolicy)
 }
 
 // TestSharedQueueReplayDeterministic is the contended-queue determinism
-// contract: 8 workers racing wall-clock for one simulated disk queue
+// contract: 8 workers contending for one simulated disk queue
 // (write-back on, every policy) produce bit-identical merged reports
-// across repeated runs — the dispatch order is a pure function of lane
-// timestamps, never of goroutine scheduling. CI runs this under -race.
+// across repeated runs.
 func TestSharedQueueReplayDeterministic(t *testing.T) {
 	tr := determinismTrace(t)
 	for _, policy := range []simdisk.SchedPolicy{simdisk.FCFS, simdisk.SSTF, simdisk.SCAN} {
@@ -109,14 +107,14 @@ func TestSharedQueueSingleLaneMatchesPrivate(t *testing.T) {
 		{"one-stripe", func(cfg *fsim.Config) { cfg.Cache.Shards = 1 }},
 		// A cache far smaller than the file: the eviction and read-ahead
 		// paths (async under contention) dominate, and must still match.
-		// Background write-back is off — a flusher racing foreground
-		// evictions for dirty pages is wall-clock-nondeterministic in
-		// both modes — so dirty victims bill synchronously and the close
-		// flush runs the batched ServeBatch sweep through the lane.
+		// Without write-back, dirty victims bill synchronously and the
+		// close flush runs the batched ServeBatch sweep through the lane;
+		// with it, threshold drains and evictions both retire dirty pages.
 		{"evicting", func(cfg *fsim.Config) {
 			cfg.Cache.NumPages = 512
 			cfg.Cache.WritebackThreshold = 0
 		}},
+		{"evicting-writeback", func(cfg *fsim.Config) { cfg.Cache.NumPages = 512 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -125,7 +123,6 @@ func TestSharedQueueSingleLaneMatchesPrivate(t *testing.T) {
 				v.mut(&cfg)
 				cfg.DiskQueue = mode
 				store := fsim.MustNewFileStore(cfg)
-				defer store.Close()
 				rp := NewReplayer(store)
 				rp.SampleFileSize = 32 << 20
 				rep, err := rp.ReplayConcurrent("Parallel", tr)

@@ -4,21 +4,51 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
-	"slices"
 	"sort"
-	"sync"
 
-	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// streamQueueDepth bounds each ReplayStream lane's record queue: the
-// backpressure on the trace reader. 1024 records (48 KiB) per lane let
-// the reader run ahead of a briefly slower lane while the queues of
-// even a hundred lanes stay within a few megabytes.
+// streamQueueDepth bounds each ReplayStream lane's lookahead: the
+// records read from the trace that the lane has not replayed yet. 1024
+// records (48 KiB) per lane keep even a hundred lanes within a few
+// megabytes.
 const streamQueueDepth = 1024
+
+// recQueue is a ReplayStream lane's lookahead: recs[head:], in trace
+// order.
+type recQueue struct {
+	recs []trace.Record
+	head int
+}
+
+func (q *recQueue) len() int { return len(q.recs) - q.head }
+
+// push appends rec, first sliding the queue to the front of its array
+// when the array is full.
+func (q *recQueue) push(rec trace.Record) {
+	if len(q.recs) == cap(q.recs) {
+		q.recs, q.head = q.recs[:copy(q.recs, q.recs[q.head:])], 0
+	}
+	q.recs = append(q.recs, rec)
+}
+
+// drain yields the queued records until the queue is empty. Each is a
+// copy: a lane waiting mid-record on the shared queue must not see the
+// queue compact under it.
+func (q *recQueue) drain() iter.Seq[*trace.Record] {
+	return func(yield func(*trace.Record) bool) {
+		var rec trace.Record
+		for q.head < len(q.recs) {
+			rec = q.recs[q.head]
+			q.head++
+			if !yield(&rec) {
+				return
+			}
+		}
+	}
+}
 
 // streamAgg is the bounded-memory row keeper for streaming aggregation:
 // reservoir sampling (Algorithm R) over the request rows, driven by a
@@ -55,29 +85,26 @@ func (a *streamAgg) offer(rows *[]RequestTiming, rt RequestTiming) {
 }
 
 // ReplayStream replays a trace straight off a Scanner without ever
-// materializing the record slice: a reader decodes records and routes
-// them to per-PID lanes through bounded queues (backpressure, not
-// buffering), and each lane runs the same worker and the same merge as
-// a ReplayConcurrent lane. Memory is bounded by the queues and the
-// per-lane reports, independent of trace length, so a billion-record v2
-// trace replays in a few megabytes.
+// materializing the record slice: records are read into per-PID
+// lookahead queues of at most streamQueueDepth records, and the kernel
+// runs each PID's lane exactly as ReplayConcurrent does. Memory is
+// bounded by the lookahead and the per-lane reports, independent of
+// trace length, so a billion-record v2 trace replays in a few megabytes.
 //
-// On a session-capable store each lane is a pure function of its own
-// record sequence — private virtual clock, private disk view — so the
-// merged report is bit-identical to ReplayConcurrent on the same trace,
-// whatever the goroutine interleaving. The shared disk-queue mode is
-// refused: contending lanes rendezvous through the queue, which needs
-// every lane's future known up front (the reader could deadlock feeding
-// a lane whose dispatch gates on another still-unfed lane), and its
-// cross-lane ordering is the one thing streaming cannot reproduce.
+// Before the first step the reader runs ahead until one lane's
+// lookahead is full or the trace ends, so the PIDs that appear early
+// join before any lane steps; afterwards it reads whenever the lane the
+// kernel picks has run dry. A record for a lane whose lookahead is full
+// steps that lane first — unless the lane waits in the shared disk
+// queue, whose lookahead then grows past the bound until it is served.
+// When every PID joins in that first read-ahead, as in the partitioned
+// traces, the merged report is bit-identical to ReplayConcurrent on the
+// same trace, in either disk-queue mode.
 //
 // With StreamAggregate set, lane reports keep per-op histograms plus a
 // reservoir sample instead of the full row list (see Report); the
 // merged Requests are then a deterministic proportional sample.
 func (rp *Replayer) ReplayStream(appName string, sc *trace.Scanner) (*Report, error) {
-	if fs, ok := rp.store.(*fsim.FileStore); ok && fs.SharedQueue() != nil {
-		return nil, errors.New("tracesim: ReplayStream does not support the shared disk-queue mode; use ReplayConcurrent on a materialized trace")
-	}
 	h := sc.Header()
 	if h.SampleFile == "" {
 		return nil, errors.New("trace: empty sample file name")
@@ -90,70 +117,56 @@ func (rp *Replayer) ReplayStream(appName string, sc *trace.Scanner) (*Report, er
 		reservoir = rp.reservoirCap()
 	}
 
-	type lane struct {
-		ch  chan trace.Record
-		rep *Report
-		err error
-	}
-	l := newLaneSet(rp.store)
-	lanes := make(map[uint32]*lane)
-	var wg sync.WaitGroup
-	for sc.Next() {
-		rec := sc.Record()
-		ln := lanes[rec.PID]
-		if ln == nil {
-			ln = &lane{ch: make(chan trace.Record, streamQueueDepth), rep: &Report{}}
-			if reservoir > 0 {
-				ln.rep.agg = newStreamAgg(reservoir, rec.PID)
-				ln.rep.ReadHist = metrics.NewLatencyHistogram()
-				ln.rep.WriteHist = metrics.NewLatencyHistogram()
-				ln.rep.SeekHist = metrics.NewLatencyHistogram()
-			}
-			lanes[rec.PID] = ln
-			st := l.add()
-			wg.Add(1)
-			go func(pid uint32) {
-				defer wg.Done()
-				ln.err = rp.replayLane(st, ln.rep, h.SampleFile, pid, queued(ln.ch))
-				// A failed lane stops reading: drain its queue so the
-				// reader never blocks on it.
-				for range ln.ch {
-				}
-			}(rec.PID)
+	k := newKernel(rp.store)
+	byPID := make(map[uint32]*lane)
+	eof := false
+	// read moves the next record into its lane's lookahead, opening the
+	// lane on its PID's first record, and returns the lane (nil at the
+	// end of the trace). A failed lane's records are dropped.
+	read := func() *lane {
+		if eof = eof || !sc.Next(); eof {
+			return nil
 		}
-		ln.ch <- *rec
+		rec := sc.Record()
+		l := byPID[rec.PID]
+		if l == nil {
+			rep := &Report{}
+			if reservoir > 0 {
+				rep.agg = newStreamAgg(reservoir, rec.PID)
+				rep.ReadHist = metrics.NewLatencyHistogram()
+				rep.WriteHist = metrics.NewLatencyHistogram()
+				rep.SeekHist = metrics.NewLatencyHistogram()
+			}
+			q := &recQueue{}
+			l = k.addProcess(rp, rec.PID, rep, h.SampleFile, q.drain())
+			l.queue = q
+			byPID[rec.PID] = l
+		}
+		for l.queue.len() >= streamQueueDepth && l.ready() {
+			l.step()
+		}
+		if !l.done {
+			l.queue.push(*rec)
+		}
+		return l
 	}
-	for _, ln := range lanes {
-		close(ln.ch)
+	for l := read(); l != nil && l.queue.len() < streamQueueDepth; l = read() {
 	}
-	wg.Wait()
-
+	for l := k.next(); l != nil; l = k.next() {
+		if l.queue.len() > 0 || eof {
+			l.step()
+			continue
+		}
+		// The picked lane ran dry: read until it has a record, then pick
+		// again, since the read may have opened new lanes.
+		for l.queue.len() == 0 && read() != nil {
+		}
+	}
 	if err := sc.Err(); err != nil {
-		l.release()
+		k.release()
 		return nil, err
 	}
-	pids := slices.Sorted(maps.Keys(lanes))
-	reports := make([]*Report, len(pids))
-	for i, pid := range pids {
-		if err := lanes[pid].err; err != nil {
-			l.release()
-			return nil, err
-		}
-		reports[i] = lanes[pid].rep
-	}
-	return l.merge(appName, reports, reservoir, nil)
-}
-
-// queued yields a lane's records from its queue until the queue closes.
-func queued(ch <-chan trace.Record) iter.Seq[*trace.Record] {
-	return func(yield func(*trace.Record) bool) {
-		var rec trace.Record
-		for rec = range ch {
-			if !yield(&rec) {
-				return
-			}
-		}
-	}
+	return k.merge(appName, nil, reservoir, nil)
 }
 
 func (rp *Replayer) reservoirCap() int {

@@ -191,17 +191,6 @@ func dataOpRows(rec *trace.Record) int {
 	return 0
 }
 
-// dataOps counts the per-request rows a record sequence will produce,
-// so replays can size Report.Requests once instead of growing it on
-// the hot path.
-func dataOps(recs []*trace.Record) int {
-	n := 0
-	for _, rec := range recs {
-		n += dataOpRows(rec)
-	}
-	return n
-}
-
 // Prepare provisions the trace's sample file if missing: sparse on stores
 // that support it, zero-filled otherwise.
 func (rp *Replayer) Prepare(tr *trace.Trace) error {

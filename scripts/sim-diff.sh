@@ -6,8 +6,9 @@
 # examples/distributed twice — from a `git archive` of REV and from the
 # working tree — runs the fidelity command list below with each build,
 # and diffs every output pair. Only deterministic outputs are compared:
-# the paper tables, the shared-queue, degraded-mode and availability
-# command lines, and the simulated-only rows of benchjson's report.
+# the paper tables, the shared-queue (concurrent and streamed), Mixed,
+# degraded-mode and availability command lines, and the simulated-only
+# rows of benchjson's report.
 # Sources, binaries and outputs land in .bench_build/sim-diff/.
 #
 # Exit status: 0 when every output matches, 1 on any difference (each
@@ -72,6 +73,9 @@ contention-w8|tracebench $contention -workers 8
 contention-w1-detail|tracebench $contention -workers 1 -requests-detail
 contention-w4-detail|tracebench $contention -workers 4 -requests-detail
 contention-w8-detail|tracebench $contention -workers 8 -requests-detail
+stream-w8-detail|tracebench -app Parallel -workers 8 -stream -shards 8 -disk-queue shared -sched sstf -requests-detail
+mixed-detail|tracebench -app Mixed -concurrent -shards 8 -requests-detail
+mixed-writeback-detail|tracebench -app Mixed -concurrent -shards 8 -writeback 8 -disk-queue shared -sched sstf -requests-detail
 faults-dead|tracebench $degraded
 faults-inject|tracebench $degraded -inject seed=7,rate=20,budget=4 -retry max=4,base=50us
 faults-rebuild|tracebench $degraded -rebuild 1
